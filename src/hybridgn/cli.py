@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-truncation", action="store_true",
                         help="integrate the full range, no tail truncation")
     common.add_argument("--workers", type=int, metavar="N",
-                        help="worker threads for panel evaluation")
+                        help="worker count; the integral runs serially, so the "
+                             "output is the same for any value")
 
     sub.add_parser("gamma", parents=[common],
                    help="nonlinear coefficient with quadrature report")

@@ -167,11 +167,16 @@ def parse_config(raw: Dict[str, Any]) -> AppConfig:
     )
 
 
+def _reject_constant(name: str) -> float:
+    """json hook for the non-standard literals NaN, Infinity and -Infinity."""
+    raise ConfigError(f"non-finite number {name} is not allowed in a config")
+
+
 def load_config(path: str) -> AppConfig:
     """Read, validate and convert a JSON config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -12,6 +12,8 @@ phi is dimensionless and lies in [0, 1].
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .link import DerivedSpan
@@ -33,6 +35,24 @@ SERIES_SWITCH = 1e-4
 DEFAULT_POLE_WINDOW = 1e-6
 
 
+def _quotient(x: np.ndarray, e: np.ndarray, may_be_small: bool = True) -> np.ndarray:
+    """(1 - e) / x for e = exp(-x), by its Taylor series where |x| is small.
+
+    With `may_be_small` False the caller guarantees |x| >= SERIES_SWITCH.
+    """
+    if may_be_small:
+        small = np.abs(x) < SERIES_SWITCH
+        if np.any(small):
+            out = np.empty_like(x)
+            xs = x[small]
+            # 1 - x/2 + x^2/6 - x^3/24; next term is below 1e-18 at the switch.
+            out[small] = 1.0 + xs * (-0.5 + xs * (1.0 / 6.0 + xs * (-1.0 / 24.0)))
+            big = ~small
+            out[big] = (1.0 - e[big]) / x[big]
+            return out
+    return (1.0 - e) / x
+
+
 def complex_effective_length(x, length):
     """Effective interaction length length * (1 - exp(-x)) / x.
 
@@ -40,34 +60,31 @@ def complex_effective_length(x, length):
     rotation over the segment); near x = 0 the quotient is evaluated by its
     Taylor series to avoid cancellation.  Accepts scalars or arrays.
     """
-    x_arr = np.asarray(x, dtype=complex)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    out = np.empty_like(x_arr)
-
-    small = np.abs(x_arr) < SERIES_SWITCH
-    if np.any(small):
-        xs = x_arr[small]
-        # 1 - x/2 + x^2/6 - x^3/24; next term is below 1e-18 at the switch.
-        out[small] = 1.0 + xs * (-0.5 + xs * (1.0 / 6.0 + xs * (-1.0 / 24.0)))
-    big = ~small
-    if np.any(big):
-        xb = x_arr[big]
-        out[big] = (1.0 - np.exp(-xb)) / xb
-
-    out = length * out
-    return complex(out[0]) if scalar else out
+    x_arr = np.atleast_1d(np.asarray(x, dtype=complex))
+    out = length * _quotient(x_arr, np.exp(-x_arr))
+    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
 def _segment_amplitude(zeta: np.ndarray, d: DerivedSpan) -> np.ndarray:
-    """Coherent sum of per-segment FWM amplitudes, in 1/W, per zeta value."""
-    # x_k(zeta) = 2 (nu_k + i lam_k zeta), one row per segment
-    x = 2.0 * (d.nu[:, None] + 1j * d.lam[:, None] * zeta[None, :])
-    leff = complex_effective_length(x, d.lengths[:, None])
-    # e^{-sum_{m<k} x_m}: accumulated loss and phase of the segments in front
-    partial = np.cumsum(x, axis=0)
-    expo = np.vstack([np.zeros((1, x.shape[1]), dtype=complex), partial[:-1]])
-    return np.sum(d.gammas[:, None] * np.exp(-expo) * leff, axis=0)
+    """Coherent sum of per-segment FWM amplitudes, in 1/W, per zeta value.
+
+    Segment k has x_k = 2 (nu_k + i lam_k zeta) and contributes
+    gamma_k L_k (1 - e^{-x_k}) / x_k behind the loss and phase
+    e^{-sum_{m<k} x_m} of the segments in front.  One e^{-x_k} =
+    e^{-2 nu_k} (cos 2 lam_k zeta - i sin 2 lam_k zeta) per segment serves
+    both factors; the front factor is their running product.
+    """
+    amp = np.zeros(zeta.shape, dtype=complex)
+    front = np.ones(zeta.shape, dtype=complex)
+    for nu, lam, gamma, length in zip(d.nu, d.lam, d.gammas, d.lengths):
+        theta = 2.0 * lam * zeta
+        x = 2.0 * nu + 1j * theta
+        e = np.empty_like(x)
+        e.real, e.imag = np.cos(theta), -np.sin(theta)
+        e *= math.exp(-2.0 * nu)
+        amp += front * (gamma * length * _quotient(x, e, 2.0 * nu < SERIES_SWITCH))
+        front *= e
+    return amp
 
 
 def fwm_efficiency(zeta, d: DerivedSpan):
@@ -111,13 +128,10 @@ def phased_array(zeta, n_spans: int, pole_window: float = DEFAULT_POLE_WINDOW):
     if n_spans == 1:
         phi = np.ones_like(z1)
     else:
-        dist = z1 - np.pi * np.round(z1 / np.pi)
-        near = np.abs(dist) < pole_window
-        phi = np.empty_like(z1)
-        if np.any(~near):
-            zr = z1[~near]
-            s = np.sin(n_spans * zr) / np.sin(zr)
-            phi[~near] = (s * s) / (n_spans * n_spans)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.sin(n_spans * z1) / np.sin(z1)
+        phi = (s * s) / (n_spans * n_spans)
+        near = np.abs(z1 - np.pi * np.round(z1 / np.pi)) < pole_window
         if np.any(near):
             phi[near] = _fejer_form(z1[near], n_spans)
     phi = np.clip(phi, 0.0, 1.0).reshape(np.atleast_1d(z).shape)

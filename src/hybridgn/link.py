@@ -28,6 +28,13 @@ __all__ = [
 ]
 
 
+def _require_finite(owner: str, **values: float) -> None:
+    """Reject NaN and infinities, which slip through every `x < 0` check."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner}: {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class FiberSegment:
     """One homogeneous stretch of fiber inside a span.
@@ -53,6 +60,8 @@ class FiberSegment:
     gamma: float
 
     def __post_init__(self) -> None:
+        _require_finite(f"segment {self.name!r}", length=self.length,
+                        attenuation=self.attenuation, beta2=self.beta2, gamma=self.gamma)
         if not self.length > 0.0:
             raise ValueError(f"segment {self.name!r}: length must be > 0, got {self.length}")
         if self.attenuation < 0.0:
@@ -121,6 +130,11 @@ class SystemConfig:
     mpi_compensation: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite("system", symbol_rate=self.symbol_rate,
+                        noise_figure_db=self.noise_figure_db, wavelength=self.wavelength,
+                        mpi_coeff=self.mpi_coeff, mpi_compensation=self.mpi_compensation)
+        if self.resolution_bw is not None:
+            _require_finite("system", resolution_bw=self.resolution_bw)
         if self.span_count < 1:
             raise ValueError("span_count must be >= 1")
         if not self.symbol_rate > 0.0:

@@ -12,16 +12,19 @@ oscillates with period pi.  The evaluator splits the range into
 * tail  [mu, zeta_max]    dropped once an analytic bound certifies that its
                           contribution is below the requested tolerance.
 
-Panel contributions are combined with exact (Shewchuk) summation, so results
-do not depend on evaluation order or on the number of worker threads.
+The body is evaluated in blocks of about BLOCK_NODES nodes, one kernel call
+per block.  Panel values are summed exactly (Shewchuk), so the result does
+not depend on how panels are grouped.  The stop test after each full period
+uses an exact running sum; the integrand is nonnegative, so that sum never
+falls and the latest possible stop is known before a block is built.
+Blocks end there.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,8 +66,9 @@ class QuadratureSettings:
     pole_window : float
         Passed through to the phased-array factor.
     workers : int
-        Worker threads for panel evaluation; the result is bitwise identical
-        for any value.
+        Accepted and validated, but the integral no longer uses threads:
+        the body is evaluated serially in blocks, so any value gives the
+        same result.
     """
 
     delta_safety: float = 0.1
@@ -233,15 +237,42 @@ def refined_singular_head(delta: float, d: DerivedSpan,
 # ---------------------------------------------------------------------------
 # body
 
+#: Kernel nodes per block: panels are grouped until a block holds about this
+#: many nodes (a single panel larger than that is a block of its own).
+BLOCK_NODES = 1 << 14
+
 
 def panel_sum(values: Iterable[float]) -> float:
     """Exactly rounded sum of panel contributions.
 
     Shewchuk summation makes the result independent of the order in which
-    panels were evaluated, which keeps multi-worker runs bitwise equal to
-    serial ones.
+    panels were evaluated and of how they were grouped into blocks.
     """
     return math.fsum(values)
+
+
+class _RunningSum:
+    """Shewchuk partials of a growing sum: each term is added once, and
+    value() equals panel_sum of all the terms added so far."""
+
+    def __init__(self) -> None:
+        self.partials: List[float] = []
+
+    def add(self, x: float) -> None:
+        i = 0
+        for y in self.partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                self.partials[i] = lo
+                i += 1
+            x = hi
+        self.partials[i:] = [x]
+
+    def value(self) -> float:
+        return math.fsum(self.partials)
 
 
 def _simpson(f_vals: np.ndarray, h: float) -> float:
@@ -255,40 +286,41 @@ def _simpson(f_vals: np.ndarray, h: float) -> float:
     return math.fsum((w * f_vals).tolist()) * h / 3.0
 
 
-def _pi_panels(lower: float, upper: float) -> List[Tuple[float, float, Optional[int]]]:
+def _pi_panels(lower: float, upper: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split [lower, upper] at multiples of pi, grading the singular end.
 
-    Returns (a, b, k) triples where k is set when b == k*pi, i.e. when the
-    panel closes a full oscillation period.  Below the first pi edge the
-    log weight still varies on the scale of zeta itself, so that stretch is
-    subdivided geometrically (each sub-panel about as long as its distance
-    from the origin); uniform pi panels would otherwise lose four orders of
-    accuracy right above the head cut.
+    Returns arrays (a, b, k) of the panels [a_i, b_i]; k_i = K when
+    b_i == K*pi, i.e. when the panel closes a full oscillation period, and 0
+    otherwise.  Below the first pi edge the log weight still varies on the
+    scale of zeta itself, so that stretch is subdivided geometrically (each
+    sub-panel about as long as its distance from the origin); uniform pi
+    panels would otherwise lose four orders of accuracy right above the
+    head cut.
     """
-    panels: List[Tuple[float, float, Optional[int]]] = []
+    graded: List[Tuple[float, float, int]] = []
     first_edge = min(math.pi, upper) if lower < math.pi else None
     a = lower
     if first_edge is not None:
         # grading needs a positive anchor; integrands starting at zero are
         # smooth there and take the stretch as one panel
         while a > 0.0 and 2.0 * a < first_edge:
-            panels.append((a, 2.0 * a, None))
+            graded.append((a, 2.0 * a, 0))
             a = 2.0 * a
         if first_edge > a:
-            panels.append((a, first_edge, 1 if first_edge == math.pi else None))
+            graded.append((a, first_edge, 1 if first_edge == math.pi else 0))
         a = first_edge
-        if a >= upper:
-            return panels
     k = int(math.floor(a / math.pi)) + 1
     while k * math.pi <= a:  # guard against floor landing on the edge itself
         k += 1
-    while k * math.pi < upper:
-        panels.append((a, k * math.pi, k))
-        a = k * math.pi
-        k += 1
-    if upper > a:
-        panels.append((a, upper, None))
-    return panels
+    ks = np.arange(k, max(k, int(math.ceil(upper / math.pi)) + 2))
+    ks = ks[ks * math.pi < upper]
+    edges = ks * math.pi
+    starts = np.concatenate(([p[0] for p in graded], [a], edges))
+    ends = np.concatenate(([p[1] for p in graded], edges, [upper]))
+    closes = np.concatenate((np.array([p[2] for p in graded], dtype=np.int64), ks, [0]))
+    if not upper > starts[-1]:  # no partial panel after the last pi edge
+        starts, ends, closes = starts[:-1], ends[:-1], closes[:-1]
+    return starts, ends, closes
 
 
 def _default_integrand(d: DerivedSpan, pole_window: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -297,13 +329,56 @@ def _default_integrand(d: DerivedSpan, pole_window: float) -> Callable[[np.ndarr
     return f
 
 
-def _panel_integral(panel: Tuple[float, float, Optional[int]],
-                    f: Callable[[np.ndarray], np.ndarray],
-                    sub_per_pi: int, n_floor: int) -> float:
-    a, b, _ = panel
-    n_sub = max(n_floor, 2 * int(math.ceil((b - a) / math.pi * sub_per_pi / 2.0)))
-    nodes = np.linspace(a, b, n_sub + 1)
-    return _simpson(np.asarray(f(nodes), dtype=float), (b - a) / n_sub)
+def _simpson_block(a: np.ndarray, b: np.ndarray, n_sub: np.ndarray,
+                   f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Composite-Simpson values of the panels [a_i, b_i] with n_sub_i
+    subintervals each, from one call of `f` on all their nodes.
+
+    Nodes follow np.linspace (a + i*h, last node set to b), so each panel
+    sees the same samples as when it is integrated on its own.
+    """
+    counts = n_sub + 1
+    starts = np.zeros(counts.shape[0], dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    ends = starts + n_sub
+    local = np.arange(ends[-1] + 1) - np.repeat(starts, counts)
+    h = (b - a) / n_sub
+    nodes = local * np.repeat(h, counts) + np.repeat(a, counts)
+    nodes[ends] = b
+    weights = 2.0 + 2.0 * (local & 1)
+    weights[starts] = 1.0
+    weights[ends] = 1.0
+    sums = np.add.reduceat(weights * np.asarray(f(nodes), dtype=float), starts)
+    return sums * h / 3.0
+
+
+def _body_panels(lower: float, upper: float, d: DerivedSpan, settings: QuadratureSettings,
+                 f: Callable[[np.ndarray], np.ndarray],
+                 reach: Callable[[], Optional[float]] = lambda: None,
+                 ) -> Iterator[Tuple[int, float]]:
+    """Yield (k, Simpson value) of every pi-aligned panel of [lower, upper] in
+    order, k as in :func:`_pi_panels`.
+
+    Panels are evaluated lazily, one block at a time; a consumer that stops
+    iterating stops the evaluation.  Before each block `reach()` may name a
+    point that no panel of the block may end beyond (None: no limit).
+    """
+    a, b, closes = _pi_panels(lower, upper)
+    sub_per_pi = d.n_spans * settings.nodes_per_oscillation
+    n_floor = 2 * settings.nodes_per_oscillation
+    n_sub = np.maximum(n_floor,
+                       2 * np.ceil((b - a) / math.pi * sub_per_pi / 2.0).astype(np.int64))
+    nodes_before = np.concatenate(([0], np.cumsum(n_sub + 1)))
+    i = 0
+    while i < len(a):
+        j = int(np.searchsorted(nodes_before, nodes_before[i] + BLOCK_NODES, side="right")) - 1
+        limit = reach()
+        if limit is not None:
+            j = min(j, int(np.searchsorted(b, limit, side="right")))
+        j = max(j, i + 1)
+        values = _simpson_block(a[i:j], b[i:j], n_sub[i:j], f)
+        yield from zip(closes[i:j].tolist(), values.tolist())
+        i = j
 
 
 def integrate_body(lower: float, upper: float, d: DerivedSpan,
@@ -325,17 +400,7 @@ def integrate_body(lower: float, upper: float, d: DerivedSpan,
         integrand = _default_integrand(d, settings.pole_window)
     elif lower < 0.0:
         raise ValueError("lower must be >= 0")
-
-    panels = _pi_panels(lower, upper)
-    sub_per_pi = d.n_spans * settings.nodes_per_oscillation
-    n_floor = 2 * settings.nodes_per_oscillation
-    if settings.workers > 1:
-        with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-            vals = list(pool.map(
-                lambda p: _panel_integral(p, integrand, sub_per_pi, n_floor), panels))
-    else:
-        vals = [_panel_integral(p, integrand, sub_per_pi, n_floor) for p in panels]
-    return panel_sum(vals)
+    return panel_sum([v for _, v in _body_panels(lower, upper, d, settings, integrand)])
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +417,8 @@ def truncation_bound(m: int, d: DerivedSpan) -> Tuple[float, float]:
         loose = Gamma^2 / (m pi) * ln(zeta_max/(m pi))
 
     where Gamma and sigma are the worst-case span strength and the slowest
-    decay rate from :func:`hybridgn.link.derive_span`.
+    decay rate from :func:`hybridgn.link.derive_span`.  A lossless segment
+    gives sigma = 0, where the tight bound takes its limit, the loose one.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -361,8 +427,10 @@ def truncation_bound(m: int, d: DerivedSpan) -> Tuple[float, float]:
         raise ValueError("truncation point (m+1)*pi must lie below zeta_max")
     g2 = d.gamma_bound * d.gamma_bound
     log_factor = math.log(d.zeta_max / (m * math.pi))
-    tight = g2 / d.sigma * math.atan(d.sigma / (m * math.pi)) * log_factor
     loose = g2 / (m * math.pi) * log_factor
+    if d.sigma == 0.0:  # atan(sigma/(m pi))/sigma -> 1/(m pi)
+        return loose, loose
+    tight = g2 / d.sigma * math.atan(d.sigma / (m * math.pi)) * log_factor
     return tight, loose
 
 
@@ -372,18 +440,27 @@ def choose_truncation(d: DerivedSpan, settings: QuadratureSettings,
 
     `running_estimate` is the integral accumulated so far (head + body, same
     units as the integral); returns None when no admissible m exists, in
-    which case the body must run to zeta_max.
+    which case the body must run to zeta_max.  The tight bound falls as m
+    grows, so the search is a bisection over the admissible m.
     """
     if not running_estimate > 0.0:
         return None
     target = settings.target_rel_truncation * d.n_spans * running_estimate
-    m = 1
-    while (m + 1) * math.pi < d.zeta_max:
-        tight, _ = truncation_bound(m, d)
-        if tight <= target:
-            return m
-        m += 1
-    return None
+    hi = max(int(d.zeta_max / math.pi) - 1, 0)  # largest m with (m+1)*pi < zeta_max
+    while (hi + 2) * math.pi < d.zeta_max:
+        hi += 1
+    while hi >= 1 and not (hi + 1) * math.pi < d.zeta_max:
+        hi -= 1
+    if hi < 1 or truncation_bound(hi, d)[0] > target:
+        return None
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if truncation_bound(mid, d)[0] <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -400,46 +477,33 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
     """
     delta = delta_rule(d.n_spans, d.zeta_max, settings)
     head = refined_singular_head(delta, d, settings)
+    target = settings.target_rel_truncation * d.n_spans
+    running = _RunningSum()
 
-    integrand = _default_integrand(d, settings.pole_window)
-    sub_per_pi = d.n_spans * settings.nodes_per_oscillation
-    n_floor = 2 * settings.nodes_per_oscillation
-    panels = _pi_panels(delta, d.zeta_max)
+    def reach() -> Optional[float]:
+        # the running estimate never falls, so the loop stops at this
+        # period at the latest
+        if not settings.truncation_enabled:
+            return None
+        m = choose_truncation(d, settings, head + running.value())
+        return None if m is None else (m + 1) * math.pi
 
     values: List[float] = []
     truncation_m: Optional[int] = None
     tail_bound = 0.0
-    chunk_size = 1 if settings.workers <= 1 else 8 * settings.workers
-    pool = ThreadPoolExecutor(max_workers=settings.workers) if settings.workers > 1 else None
-    try:
-        idx = 0
-        while idx < len(panels):
-            chunk = panels[idx:idx + chunk_size]
-            if pool is not None:
-                chunk_vals = list(pool.map(
-                    lambda p: _panel_integral(p, integrand, sub_per_pi, n_floor), chunk))
-            else:
-                chunk_vals = [_panel_integral(p, integrand, sub_per_pi, n_floor) for p in chunk]
-            stopped = False
-            for panel, val in zip(chunk, chunk_vals):
-                values.append(val)
-                k_end = panel[2]
-                if settings.truncation_enabled and k_end is not None and k_end >= 2:
-                    m = k_end - 1
-                    running = head + panel_sum(values)
-                    if running > 0.0:
-                        tight, _ = truncation_bound(m, d)
-                        if tight <= settings.target_rel_truncation * d.n_spans * running:
-                            truncation_m = m
-                            tail_bound = tight / d.n_spans
-                            stopped = True
-                            break
-            if stopped:
-                break
-            idx += len(chunk)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    panels = _body_panels(delta, d.zeta_max, d, settings,
+                          _default_integrand(d, settings.pole_window), reach)
+    for k_end, value in panels:
+        values.append(value)
+        running.add(value)
+        if settings.truncation_enabled and k_end >= 2:
+            estimate = head + running.value()
+            if estimate > 0.0:
+                tight, _ = truncation_bound(k_end - 1, d)
+                if tight <= target * estimate:
+                    truncation_m = k_end - 1
+                    tail_bound = tight / d.n_spans
+                    break
 
     body = panel_sum(values)
     return IntegralReport(
@@ -451,7 +515,6 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
         panels_evaluated=len(values),
         truncation_m=truncation_m,
     )
-
 
 # ---------------------------------------------------------------------------
 # 2-D cross-check

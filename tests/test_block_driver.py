@@ -1,0 +1,205 @@
+"""The block-evaluated body against the panel-by-panel driver it replaced.
+
+`reference_integral` keeps that driver as an oracle: one kernel call per
+panel, a per-panel exact sum, and the stop test re-summing every panel so far
+after each full period.  The block driver must reach the same truncation
+decisions on the same panels and agree on the value to rounding.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from hybridgn import (
+    FiberSegment,
+    IntegralReport,
+    QuadratureSettings,
+    SpanPlan,
+    delta_rule,
+    derive_span,
+    integrate_body,
+    log_weighted_integral,
+    refined_singular_head,
+    truncation_bound,
+    xi,
+)
+from hybridgn import quadrature
+from hybridgn.quadrature import _pi_panels
+from hybridgn.units import (
+    attenuation_db_per_km_to_np_per_m,
+    beta2_ps2_per_km_to_s2_per_m,
+    gamma_per_w_km_to_per_w_m,
+)
+from conftest import ATLANTIC, QSMF, SMF
+
+#: A three-fiber span inside the datasheet ranges, for the single-span cases.
+THREE_FIBER = SpanPlan((
+    FiberSegment("f1", 31.4e3, attenuation_db_per_km_to_np_per_m(0.1914),
+                 beta2_ps2_per_km_to_s2_per_m(-16.6), gamma_per_w_km_to_per_w_m(0.406)),
+    FiberSegment("f2", 40.2e3, attenuation_db_per_km_to_np_per_m(0.1549),
+                 beta2_ps2_per_km_to_s2_per_m(-26.8), gamma_per_w_km_to_per_w_m(1.3948)),
+    FiberSegment("f3", 22.5e3, attenuation_db_per_km_to_np_per_m(0.2013),
+                 beta2_ps2_per_km_to_s2_per_m(-21.1), gamma_per_w_km_to_per_w_m(0.8821)),
+))
+
+#: A segment without loss: sigma = 0, the tight tail bound takes its limit.
+LOSSLESS = FiberSegment("lossless", 20e3, 0.0, beta2_ps2_per_km_to_s2_per_m(-20.0),
+                        gamma_per_w_km_to_per_w_m(0.9))
+
+
+def reference_panels(lower, upper, d, settings):
+    """Yield (k, value) per panel: one kernel call and an fsum Simpson each."""
+    sub_per_pi = d.n_spans * settings.nodes_per_oscillation
+    n_floor = 2 * settings.nodes_per_oscillation
+    for a, b, k_end in zip(*_pi_panels(lower, upper)):
+        n_sub = max(n_floor, 2 * int(math.ceil((b - a) / math.pi * sub_per_pi / 2.0)))
+        nodes = np.linspace(a, b, n_sub + 1)
+        w = np.ones(n_sub + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        f = np.log(d.zeta_max / nodes) * xi(nodes, d, settings.pole_window)
+        yield int(k_end), math.fsum((w * f).tolist()) * ((b - a) / n_sub) / 3.0
+
+
+def reference_integral(d, settings):
+    """Panel-by-panel driver: head + fsum(all panels so far) for the stop
+    test after each full period."""
+    delta = delta_rule(d.n_spans, d.zeta_max, settings)
+    head = refined_singular_head(delta, d, settings)
+    values = []
+    truncation_m = None
+    tail_bound = 0.0
+    for k_end, value in reference_panels(delta, d.zeta_max, d, settings):
+        values.append(value)
+        if settings.truncation_enabled and k_end >= 2:
+            running = head + math.fsum(values)
+            if running > 0.0:
+                tight, _ = truncation_bound(k_end - 1, d)
+                if tight <= settings.target_rel_truncation * d.n_spans * running:
+                    truncation_m = k_end - 1
+                    tail_bound = tight / d.n_spans
+                    break
+    body = math.fsum(values)
+    return IntegralReport(value=head + body, head=head, body=body, tail_bound=tail_bound,
+                          delta=delta, panels_evaluated=len(values),
+                          truncation_m=truncation_m)
+
+
+def _coherent(span, n_spans):
+    return derive_span(span, replace(ATLANTIC, span_count=n_spans))
+
+
+def _single_span(span, channels):
+    # what the SpanScaled variant integrates: one span at the full bandwidth
+    return derive_span(span, replace(ATLANTIC, span_count=1, channel_count=channels))
+
+
+CASES = {
+    "coherent N=1": lambda: _coherent(SpanPlan((QSMF, SMF)), 1),
+    "coherent N=2": lambda: _coherent(SpanPlan((QSMF, SMF)), 2),
+    "coherent N=60": lambda: _coherent(SpanPlan((QSMF, SMF)), 60),
+    "coherent N=200": lambda: _coherent(SpanPlan((QSMF, SMF)), 200),
+    "span-scaled 9 ch": lambda: _single_span(THREE_FIBER, 9),
+    "span-scaled 80 ch": lambda: _single_span(THREE_FIBER, 80),
+    "lossless segment N=60": lambda: _coherent(SpanPlan((QSMF, LOSSLESS)), 60),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_block_driver_matches_panel_by_panel_reference(case):
+    d = CASES[case]()
+    settings = QuadratureSettings()
+    ours = log_weighted_integral(d, settings)
+    ref = reference_integral(d, settings)
+    assert ours.truncation_m is not None
+    assert ours.panels_evaluated == ref.panels_evaluated
+    assert ours.truncation_m == ref.truncation_m
+    assert ours.tail_bound == ref.tail_bound
+    assert ours.head == ref.head
+    assert ours.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+    assert ours.value == ours.head + ours.body
+
+
+def test_block_driver_matches_reference_without_truncation():
+    d = _coherent(SpanPlan((QSMF, SMF)), 60)
+    settings = QuadratureSettings(truncation_enabled=False)
+    ours = log_weighted_integral(d, settings)
+    ref = reference_integral(d, settings)
+    assert ours.panels_evaluated == ref.panels_evaluated == 355
+    assert ours.truncation_m is None and ours.tail_bound == 0.0
+    assert ours.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
+    """Every block ends at or before the latest period at which the loop can
+    stop, as certified by choose_truncation just before the block; only the
+    block holding the stop may reach past the truncation period."""
+    d = CASES[case]()
+    settings = QuadratureSettings()
+    events = []
+    real_xi, real_choose = quadrature.xi, quadrature.choose_truncation
+
+    def recording_xi(zeta, *args, **kwargs):
+        events.append(("xi", float(np.max(zeta))))
+        return real_xi(zeta, *args, **kwargs)
+
+    def recording_choose(*args, **kwargs):
+        m = real_choose(*args, **kwargs)
+        events.append(("cap", m))
+        return m
+
+    monkeypatch.setattr(quadrature, "xi", recording_xi)
+    monkeypatch.setattr(quadrature, "choose_truncation", recording_choose)
+    rep = log_weighted_integral(d, settings)
+    stop = (rep.truncation_m + 1) * math.pi
+
+    body = events[1:]  # the first kernel call is the head
+    caps, blocks = body[0::2], body[1::2]
+    # the driver consults the cap before every block
+    assert blocks and len(caps) == len(blocks)
+    assert all(c[0] == "cap" for c in caps) and all(b[0] == "xi" for b in blocks)
+    assert caps[-1][1] is not None
+    for (_, cap), (_, top) in zip(caps, blocks):
+        if cap is not None:
+            assert top <= (cap + 1) * math.pi
+    assert all(top <= stop for _, top in blocks[:-1])
+
+
+def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
+    """Kernel calls are blocks of up to BLOCK_NODES nodes, not single panels."""
+    d = _coherent(SpanPlan((QSMF, SMF)), 60)
+    sizes = []
+    real_xi = quadrature.xi
+
+    def recording_xi(zeta, *args, **kwargs):
+        sizes.append(int(np.size(zeta)))
+        return real_xi(zeta, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "xi", recording_xi)
+    rep = log_weighted_integral(d, QuadratureSettings())
+    body = sizes[1:]  # the first kernel call is the head
+    assert max(body) <= quadrature.BLOCK_NODES
+    assert len(body) < rep.panels_evaluated / 10
+
+
+def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):
+    """integrate_body shares the block evaluator with the driver."""
+    settings = QuadratureSettings()
+    lower, upper = 0.01, 40.0 * math.pi + 0.5
+    ours = integrate_body(lower, upper, d_atlantic, settings)
+    ref = math.fsum(v for _, v in reference_panels(lower, upper, d_atlantic, settings))
+    assert ours == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_block_nodes_follow_linspace():
+    """A block lays out each panel's nodes exactly as np.linspace would."""
+    a = np.array([0.3, math.pi, 2.0 * math.pi])
+    b = np.array([math.pi, 2.0 * math.pi, 3.0 * math.pi])
+    n_sub = np.array([32, 3202, 3200])
+    seen = []
+    quadrature._simpson_block(a, b, n_sub, lambda z: seen.append(z.copy()) or np.ones_like(z))
+    expected = np.concatenate([np.linspace(a[i], b[i], n_sub[i] + 1) for i in range(3)])
+    assert np.array_equal(seen[0], expected)

@@ -210,6 +210,19 @@ def test_invalid_config_content(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("value", ["NaN", "1e999"])
+def test_non_finite_config_value_is_a_config_error(tmp_path, value):
+    p = tmp_path / "nan.json"
+    text = Path(TOY_CFG).read_text()
+    raw = json.loads(text)
+    raw["span"][0]["attenuation_db_per_km"] = "@"
+    p.write_text(json.dumps(raw).replace('"@"', value))
+    res = run_cli("gamma", "--config", str(p))
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert b"config error" in res.stderr
+
+
 def test_unknown_config_key(tmp_path):
     p = tmp_path / "extra.json"
     raw = json.loads(Path(TOY_CFG).read_text())

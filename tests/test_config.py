@@ -141,6 +141,26 @@ def test_load_config_invalid_json(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_config_rejects_non_finite_literals(tmp_path, literal):
+    text = json.dumps(_minimal()).replace('"noise_figure_db": 5.0',
+                                          f'"noise_figure_db": {literal}')
+    p = tmp_path / "nonfinite.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match="non-finite"):
+        load_config(str(p))
+
+
+def test_load_config_rejects_overflowing_numbers(tmp_path):
+    # 1e999 parses to inf without any special literal
+    text = json.dumps(_minimal()).replace('"attenuation_db_per_km": 0.2',
+                                          '"attenuation_db_per_km": 1e999')
+    p = tmp_path / "overflow.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(str(p))
+
+
 def test_load_config_non_object_root(tmp_path):
     p = tmp_path / "arr.json"
     p.write_text("[1, 2]")

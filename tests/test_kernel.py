@@ -17,6 +17,17 @@ from hybridgn.kernel import DEFAULT_POLE_WINDOW, SERIES_SWITCH
 from conftest import ATLANTIC, QSMF, SMF, span_plans, split_segments
 
 
+def _efficiency_by_cumulative_exponent(zeta, d):
+    """eta from the textbook form: one complex exponential per segment for
+    the effective length and exp(-cumsum x) for the segments in front."""
+    x = 2.0 * (d.nu[:, None] + 1j * d.lam[:, None] * zeta[None, :])
+    leff = complex_effective_length(x, d.lengths[:, None])
+    front = np.vstack([np.zeros((1, x.shape[1]), dtype=complex),
+                       np.cumsum(x, axis=0)[:-1]])
+    amp = np.sum(d.gammas[:, None] * np.exp(-front) * leff, axis=0)
+    return amp.real ** 2 + amp.imag ** 2
+
+
 # ---------------------------------------------------------------------------
 # complex effective length
 
@@ -87,6 +98,20 @@ def test_efficiency_matches_distance_integral_references(d_atlantic):
     assert eta[0] == pytest.approx(170.67274263226534, rel=1e-12)
     assert eta[1] == pytest.approx(149.75959365037704, rel=1e-12)
     assert eta[2] == pytest.approx(18.239926234591415, rel=1e-12)
+
+
+@pytest.mark.parametrize("attenuation", [None, 0.0])
+def test_efficiency_matches_cumulative_exponent_form(attenuation):
+    """The running product of per-segment exponentials gives the same eta as
+    exp(-cumsum x), near zeta = 0 (series branch) and deep in the tail."""
+    first = QSMF if attenuation is None else replace(QSMF, attenuation=attenuation)
+    span = SpanPlan((first, SMF, replace(QSMF, name="third", length=20e3)))
+    d = derive_span(span, ATLANTIC)
+    zeta = np.concatenate(([0.0, 1e-9, 3e-5], np.linspace(0.01, 3.0, 400),
+                           np.linspace(500.0, 1088.0, 400)))
+    np.testing.assert_allclose(fwm_efficiency(zeta, d),
+                               _efficiency_by_cumulative_exponent(zeta, d),
+                               rtol=1e-11, atol=0.0)
 
 
 def test_efficiency_peak_closed_form(d_atlantic):

@@ -28,6 +28,14 @@ def test_segment_field_validation():
         _ok_segment(gamma=-1e-9)
 
 
+@pytest.mark.parametrize("field", ["length", "attenuation", "beta2", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_segment_rejects_non_finite_fields(field, value):
+    # NaN passes every `x < 0` check, so it needs its own rejection
+    with pytest.raises(ValueError, match="finite"):
+        _ok_segment(**{field: value})
+
+
 def test_span_rejects_empty():
     with pytest.raises(ValueError):
         SpanPlan(segments=())
@@ -57,6 +65,14 @@ def test_system_validation():
         replace(ATLANTIC, mpi_coeff=-1e-6)
     with pytest.raises(ValueError):
         replace(ATLANTIC, mpi_compensation=1.5)
+
+
+@pytest.mark.parametrize("field", ["symbol_rate", "noise_figure_db", "wavelength",
+                                   "resolution_bw", "mpi_coeff", "mpi_compensation"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_system_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        replace(ATLANTIC, **{field: value})
 
 
 def test_osnr_bw_defaults_to_symbol_rate():

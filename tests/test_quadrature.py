@@ -8,6 +8,7 @@ from scipy import integrate
 
 from hybridgn import (
     QuadratureSettings,
+    SpanPlan,
     brute_force_gamma_integral,
     choose_truncation,
     delta_rule,
@@ -288,6 +289,46 @@ def test_tail_bound_input_validation(d_atlantic, d_toy):
         truncation_bound(400, d_atlantic)  # (m+1) pi beyond zeta_max
     with pytest.raises(ValueError):
         truncation_bound(1, d_toy)  # toy range is shorter than 2 pi
+
+
+def test_lossless_segment_takes_the_tight_bound_limit():
+    lossless = replace(QSMF, name="lossless", attenuation=0.0)
+    d = derive_span(SpanPlan((lossless, SMF)), ATLANTIC)
+    assert d.sigma == 0.0
+    tight, loose = truncation_bound(20, d)
+    assert tight == loose and math.isfinite(tight)
+    # a vanishing loss approaches the limit from below
+    faint = derive_span(SpanPlan((replace(lossless, attenuation=1e-12), SMF)), ATLANTIC)
+    faint_tight, faint_loose = truncation_bound(20, faint)
+    assert faint_tight <= faint_loose
+    assert faint_tight == pytest.approx(tight, rel=1e-6)
+    m = choose_truncation(d, QuadratureSettings(), 60.0)
+    assert m is not None
+    assert truncation_bound(m, d)[0] <= 1e-4 * d.n_spans * 60.0
+    rep = log_weighted_integral(d, QuadratureSettings())
+    assert math.isfinite(rep.value) and rep.value > 0.0
+    assert rep.truncation_m is not None
+    assert 0.0 < rep.tail_bound < 1e-4 * rep.value
+
+
+def _first_admissible_m(d, settings, running):
+    """Linear scan for the smallest m whose tight bound meets the target."""
+    target = settings.target_rel_truncation * d.n_spans * running
+    m = 1
+    while (m + 1) * math.pi < d.zeta_max:
+        if truncation_bound(m, d)[0] <= target:
+            return m
+        m += 1
+    return None
+
+
+@given(st.floats(-2.0, 2.0), st.floats(1e-7, 1.0))
+@hsettings(max_examples=60, deadline=None)
+def test_choose_truncation_bisection_matches_linear_scan(d_atlantic, log_scale, rel):
+    running = 63.1 * 10.0 ** log_scale
+    settings = QuadratureSettings(target_rel_truncation=rel)
+    assert choose_truncation(d_atlantic, settings, running) == \
+        _first_admissible_m(d_atlantic, settings, running)
 
 
 def test_choose_truncation_pins(d_atlantic, d_toy, settings):
