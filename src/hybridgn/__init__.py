@@ -30,7 +30,6 @@ from .engine import (
     nl_coefficient,
     nl_coefficient_with_report,
     optimal_power,
-    optimal_power_search,
     osnr_eff,
     performance_coeffs,
     q_factor,
@@ -75,7 +74,6 @@ __all__ = [
     "nl_coefficient",
     "nl_coefficient_with_report",
     "optimal_power",
-    "optimal_power_search",
     "osnr_eff",
     "performance_coeffs",
     "q_factor",

@@ -78,6 +78,8 @@ def _emit(report: Dict[str, Any], fmt: str) -> str:
 def cmd_gamma(cfg: AppConfig) -> Tuple[str, int]:
     gamma_nl, d, rep = nl_coefficient_with_report(
         cfg.span, cfg.system, cfg.variant, cfg.settings)
+    if not math.isfinite(gamma_nl):
+        raise ArithmeticError(f"gamma_nl is not finite: {gamma_nl!r}")
     report: Dict[str, Any] = {
         "variant": "coherent" if isinstance(cfg.variant, Coherent) else "span_scaled",
         "gamma_nl_per_w2": gamma_nl,
@@ -268,13 +270,13 @@ def _apply_overrides(cfg: AppConfig, args: argparse.Namespace) -> AppConfig:
     variant = cfg.variant
     if args.variant == "coherent":
         variant = Coherent()
-    elif args.variant == "span-scaled":
-        variant = SpanScaled(epsilon=args.epsilon if args.epsilon is not None else 0.0)
-    elif args.epsilon is not None:
-        if isinstance(variant, SpanScaled):
-            variant = SpanScaled(epsilon=args.epsilon)
-        else:
+    elif args.variant == "span-scaled" or args.epsilon is not None:
+        if args.variant is None and not isinstance(variant, SpanScaled):
             raise ConfigError("--epsilon requires the span-scaled variant")
+        try:
+            variant = SpanScaled(epsilon=args.epsilon if args.epsilon is not None else 0.0)
+        except ValueError as exc:
+            raise ConfigError(f"--epsilon: {exc}") from exc
 
     return replace(
         cfg,

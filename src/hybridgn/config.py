@@ -146,14 +146,13 @@ def parse_config(raw: Dict[str, Any]) -> AppConfig:
             mpi_compensation=sysraw.get("mpi_compensation", 0.0),
         )
         settings = QuadratureSettings(**raw.get("quadrature", {}))
+        varraw = raw.get("variant", {"kind": "coherent"})
+        if varraw["kind"] == "coherent":
+            variant: GnVariant = Coherent()
+        else:
+            variant = SpanScaled(epsilon=varraw.get("epsilon", 0.0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    varraw = raw.get("variant", {"kind": "coherent"})
-    if varraw["kind"] == "coherent":
-        variant: GnVariant = Coherent()
-    else:
-        variant = SpanScaled(epsilon=varraw.get("epsilon", 0.0))
 
     out = raw.get("output", {})
     path = out.get("path")

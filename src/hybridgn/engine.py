@@ -14,12 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Callable, Optional, Tuple, Union
-
-from scipy.constants import c as _C0
-from scipy.constants import h as _PLANCK
-from scipy.optimize import minimize_scalar
-from scipy.special import erfc, erfcinv
 
 from .link import DerivedSpan, SpanPlan, SystemConfig, derive_span
 from .quadrature import IntegralReport, QuadratureSettings, log_weighted_integral
@@ -36,9 +32,14 @@ __all__ = [
     "performance_coeffs",
     "osnr_eff",
     "optimal_power",
-    "optimal_power_search",
     "q_factor",
 ]
+
+# Exact SI values of the speed of light (m/s) and the Planck constant (J s).
+_C0 = 299792458.0
+_PLANCK = 6.62607015e-34
+
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,10 @@ class SpanScaled:
     """
 
     epsilon: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
 
 
 GnVariant = Union[Coherent, SpanScaled]
@@ -137,37 +142,20 @@ def osnr_eff(power: float, coeffs: PerformanceCoeffs) -> float:
         raise ZeroDivisionError("all noise coefficients are zero")
     return power / denom
 
+
 def optimal_power(coeffs: PerformanceCoeffs) -> float:
     """Launch power in W that maximizes the effective OSNR.
 
     Differentiating P / (a + b P + g P^3) gives the stationarity condition
     a = 2 g P^3 with the linear MPI term cancelled, so the closed form
-    (a / (2 g))^(1/3) is exact for every MPI level.
-    :func:`optimal_power_search` locates the same point by golden-section
-    search and serves as an independent cross-check.
+    (a / (2 g))^(1/3) is exact for every MPI level; the tests cross-check
+    it against a golden-section search of the OSNR peak.
     """
     if not coeffs.nl > 0.0:
         raise ValueError("optimal power needs a positive nonlinear coefficient")
     if not coeffs.ase > 0.0:
         raise ValueError("optimal power needs a positive ASE coefficient")
     return (coeffs.ase / (2.0 * coeffs.nl)) ** (1.0 / 3.0)
-
-
-def optimal_power_search(coeffs: PerformanceCoeffs) -> float:
-    """OSNR-maximizing power by golden-section search.
-
-    Derivative-free, so its precision is limited to about sqrt(eps) relative
-    by the flatness of the OSNR peak; use :func:`optimal_power` for the
-    exact value.
-    """
-    seed = optimal_power(coeffs)
-    res = minimize_scalar(
-        lambda p: -osnr_eff(p, coeffs),
-        bracket=(seed / 8.0, seed, seed * 8.0),
-        method="golden",
-        options={"xtol": 1e-13, "maxiter": 400},
-    )
-    return float(res.x)
 
 
 def q_factor(
@@ -180,15 +168,16 @@ def q_factor(
     Convention: the OSNR measured in `osnr_bw` is rescaled to the symbol
     rate, mapped to a pre-FEC BER (PDM-16QAM by default,
     BER = 3/8 erfc(sqrt(SNR/10))), and the BER is re-expressed as
-    Q = 20 log10(sqrt(2) erfcinv(2 BER)).  A different modulation can be
-    injected through `ber_map`; BER >= 1/2 maps to -inf.
+    Q = 20 log10(sqrt(2) erfcinv(2 BER)), computed as the standard normal
+    quantile -Phi^-1(BER).  A different modulation can be injected through
+    `ber_map`; BER >= 1/2 maps to -inf.
     """
     if not osnr > 0.0:
         raise ValueError("osnr must be > 0")
     snr = osnr * sys.osnr_bw / sys.symbol_rate
-    ber = 0.375 * erfc(math.sqrt(snr / 10.0)) if ber_map is None else ber_map(snr)
+    ber = 0.375 * math.erfc(math.sqrt(snr / 10.0)) if ber_map is None else ber_map(snr)
     if ber >= 0.5:
         return -math.inf
     if ber <= 0.0:
         return math.inf
-    return 20.0 * math.log10(math.sqrt(2.0) * float(erfcinv(2.0 * ber)))
+    return 20.0 * math.log10(-_STANDARD_NORMAL.inv_cdf(ber))

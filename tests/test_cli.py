@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from hybridgn import cli
 
 REPO = Path(__file__).resolve().parent.parent
 ATLANTIC_CFG = str(REPO / "configs" / "transatlantic.json")
@@ -89,6 +92,40 @@ def test_epsilon_requires_span_scaled():
     res = run_cli("gamma", "--config", ATLANTIC_CFG, "--epsilon", "0.1")
     assert res.returncode == 2
     assert b"epsilon" in res.stderr
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_non_finite_epsilon_flag_is_a_config_error(epsilon):
+    res = run_cli("gamma", "--config", TOY_CFG, "--variant", "span-scaled",
+                  "--epsilon", epsilon)
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert b"config error" in res.stderr and b"epsilon" in res.stderr
+
+
+def test_overflowing_epsilon_in_config_is_a_config_error(tmp_path):
+    raw = json.loads(Path(TOY_CFG).read_text())
+    raw["variant"] = {"kind": "span_scaled", "epsilon": 0.1}
+    p = tmp_path / "epsilon.json"
+    p.write_text(json.dumps(raw).replace('"epsilon": 0.1', '"epsilon": 1e999'))
+    res = run_cli("gamma", "--config", str(p))
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert b"config error" in res.stderr and b"epsilon" in res.stderr
+
+
+def test_gamma_non_finite_result_is_a_numerical_error(monkeypatch, capsys):
+    real = cli.nl_coefficient_with_report
+
+    def nan_gamma(*args):
+        _, d, rep = real(*args)
+        return math.nan, d, rep
+
+    monkeypatch.setattr(cli, "nl_coefficient_with_report", nan_gamma)
+    assert cli.main(["gamma", "--config", TOY_CFG]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical error:" in err
 
 
 def test_output_file_matches_stdout(tmp_path):

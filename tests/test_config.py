@@ -161,6 +161,15 @@ def test_load_config_rejects_overflowing_numbers(tmp_path):
         load_config(str(p))
 
 
+def test_load_config_rejects_overflowing_epsilon(tmp_path):
+    raw = _minimal()
+    raw["variant"] = {"kind": "span_scaled", "epsilon": 0.1}
+    p = tmp_path / "epsilon.json"
+    p.write_text(json.dumps(raw).replace('"epsilon": 0.1', '"epsilon": 1e999'))
+    with pytest.raises(ConfigError, match="epsilon"):
+        load_config(str(p))
+
+
 def test_load_config_non_object_root(tmp_path):
     p = tmp_path / "arr.json"
     p.write_text("[1, 2]")

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 from scipy.constants import c as C0, h as PLANCK
-from scipy.special import erfc
+from scipy.optimize import minimize_scalar
+from scipy.special import erfc, erfcinv
 
 from hybridgn import (
     Coherent,
@@ -16,12 +18,29 @@ from hybridgn import (
     nl_coefficient,
     nl_coefficient_with_report,
     optimal_power,
-    optimal_power_search,
     osnr_eff,
     performance_coeffs,
     q_factor,
 )
+from hybridgn import engine
 from conftest import ATLANTIC, QSMF, SMF
+
+
+def optimal_power_search(coeffs: PerformanceCoeffs) -> float:
+    """OSNR-maximizing power by golden-section search.
+
+    Derivative-free, so its precision is limited to about sqrt(eps) relative
+    by the flatness of the OSNR peak; an independent check of the closed
+    form in :func:`optimal_power`.
+    """
+    seed = optimal_power(coeffs)
+    res = minimize_scalar(
+        lambda p: -osnr_eff(p, coeffs),
+        bracket=(seed / 8.0, seed, seed * 8.0),
+        method="golden",
+        options={"xtol": 1e-13, "maxiter": 400},
+    )
+    return float(res.x)
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +85,12 @@ def test_coherent_exceeds_incoherent_moderately(hybrid_span, settings):
     assert 1.0 < coh / inc < 2.0
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_span_scaled_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        SpanScaled(epsilon)
+
+
 def test_unknown_variant_rejected(hybrid_span, settings):
     with pytest.raises(TypeError):
         nl_coefficient(hybrid_span, ATLANTIC, object(), settings)
@@ -100,6 +125,11 @@ def test_ase_frozen_and_hand_arithmetic(hybrid_span):
     ours = ase_coefficient(hybrid_span, ATLANTIC)
     assert ours == pytest.approx(hand, rel=1e-14)
     assert ours == pytest.approx(2.9494239414354596e-05, rel=1e-12)
+
+
+def test_physical_constants_are_the_exact_si_values():
+    assert engine._C0 == C0
+    assert engine._PLANCK == PLANCK
 
 
 def test_ase_lossless_span_is_zero():
@@ -266,3 +296,31 @@ def test_q_factor_custom_ber_map():
     assert q_factor(10.0, ATLANTIC, ber_map=qpsk) == pytest.approx(10.0, rel=1e-13)
     assert q_factor(10.0, ATLANTIC, ber_map=lambda snr: 0.6) == -math.inf
     assert q_factor(10.0, ATLANTIC, ber_map=lambda snr: 0.0) == math.inf
+
+
+def test_q_factor_matches_the_erfcinv_form():
+    # Q = sqrt(2) erfcinv(2 BER) is computed as the standard normal quantile;
+    # the two forms agree to a few ulp on linear Q down to BER = 1e-300
+    for ber in np.geomspace(1e-300, 0.5, 2001)[:-1]:
+        ber = float(ber)
+        reference = math.sqrt(2.0) * float(erfcinv(2.0 * ber))
+        q_db = q_factor(10.0, ATLANTIC, ber_map=lambda snr: ber)
+        assert 10.0 ** (q_db / 20.0) == pytest.approx(reference, rel=2e-15)
+
+
+def test_q_factor_nan_ber_stays_nan():
+    assert math.isnan(q_factor(10.0, ATLANTIC, ber_map=lambda snr: math.nan))
+
+
+def test_math_erfc_matches_scipy_on_the_16qam_range():
+    # BER = 3/8 erfc(sqrt(SNR/10)) is evaluated at x = sqrt(SNR/10); up to
+    # x = 20 (BER about 1e-176) the result is far from underflow.  scipy's
+    # own error grows to a few 1e-14 there, math.erfc stays within 1e-15 of
+    # a 40-digit reference.
+    for x in np.linspace(0.0, 20.0, 2001):
+        x = float(x)
+        assert math.erfc(x) == pytest.approx(float(erfc(x)), rel=5e-14)
+    with mpmath.workdps(40):
+        for x in np.linspace(0.0, 20.0, 81):
+            x = float(x)
+            assert math.erfc(x) == pytest.approx(float(mpmath.erfc(x)), rel=1e-15)

@@ -1,0 +1,51 @@
+"""The runtime import path stays free of scipy.
+
+scipy is installed for the tests, so only a fresh interpreter shows what the
+CLI and the study scripts load by themselves.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+TOY_CFG = str(REPO / "configs" / "toy.json")
+
+# Runs one entry point in this interpreter, then prints the loaded scipy
+# modules as the last line of stdout.
+PROBE = """
+import importlib, json, runpy, sys
+kind, target, args = sys.argv[1], sys.argv[2], sys.argv[3:]
+sys.argv = [target, *args]
+if kind == "import":
+    importlib.import_module(target)
+else:
+    try:
+        if kind == "module":
+            runpy.run_module(target, run_name="__main__", alter_sys=True)
+        else:
+            runpy.run_path(target, run_name="__main__")
+    except SystemExit as exc:
+        if exc.code not in (None, 0):
+            raise
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+@pytest.mark.parametrize("kind, target, args", [
+    ("import", "hybridgn.cli", []),
+    ("module", "hybridgn", ["gamma", "--config", TOY_CFG]),
+    ("path", str(REPO / "scripts" / "power_sweep_study.py"),
+     ["--p-min-dbm", "0", "--p-max-dbm", "0"]),
+    ("path", str(REPO / "scripts" / "split_mpi_study.py"),
+     ["--strengths", "0", "--step-km", "50"]),
+], ids=["import-cli", "python-m-gamma", "power-sweep-study", "split-mpi-study"])
+def test_runtime_loads_no_scipy(kind, target, args):
+    res = subprocess.run([sys.executable, "-c", PROBE, kind, target, *args],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    loaded = json.loads(res.stdout.splitlines()[-1])
+    assert loaded == []
