@@ -4,6 +4,8 @@ Without MPI the premium fiber wins outright and the best span is 100%
 premium.  If the premium fiber carries an MPI penalty that grows with its
 deployed length, the optimum migrates toward the standard fiber.  This
 study sweeps the MPI strength and reports the best split at each level.
+MPI changes only the OSNR, not gamma_nl or ASE, so the span physics of each
+split is computed once and every MPI strength reuses it.
 
 Run from the repository root:
 
@@ -13,13 +15,14 @@ Run from the repository root:
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hybridgn import Coherent, QuadratureSettings, SystemConfig
-from hybridgn.sweep import optimal_split, sweep_split
+from hybridgn.sweep import apply_mpi, optimal_split, split_step_count, sweep_split
 from hybridgn.units import (
     attenuation_db_per_km_to_np_per_m,
     beta2_ps2_per_km_to_s2_per_m,
@@ -65,9 +68,20 @@ def main(argv=None):
                         help="CSV destination (default stdout)")
     args = parser.parse_args(argv)
 
-    strengths = [float(s) for s in args.strengths.split(",")]
-    settings = QuadratureSettings()
-    variant = Coherent()
+    try:
+        strengths = [float(s) for s in args.strengths.split(",")]
+    except ValueError as exc:
+        parser.error(f"--strengths: {exc}")
+    if not all(math.isfinite(k) and k >= 0.0 for k in strengths):
+        parser.error("--strengths must be finite and >= 0")
+    step = args.step_km * 1e3
+    try:
+        split_step_count(SPAN_LENGTH, step)
+    except ValueError as exc:
+        parser.error(f"--step-km: {exc}")
+
+    physics = sweep_split(PREMIUM, STANDARD, SPAN_LENGTH, SYSTEM, step,
+                          Coherent(), QuadratureSettings())
 
     sink = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
@@ -79,10 +93,7 @@ def main(argv=None):
             def mpi_model(first_length, k=strength):
                 return k * first_length / SPAN_LENGTH
 
-            rows = sweep_split(PREMIUM, STANDARD, SPAN_LENGTH, SYSTEM,
-                               args.step_km * 1e3, variant, settings,
-                               mpi_model=mpi_model)
-            best = optimal_split(rows)
+            best = optimal_split(apply_mpi(physics, SYSTEM, mpi_model))
             writer.writerow([
                 repr(strength),
                 repr(best.split_ratio),

@@ -18,7 +18,6 @@ from .quadrature import (
     panel_sum,
     refined_singular_head,
     sine_integral,
-    singular_head,
     truncation_bound,
 )
 from .engine import (
@@ -64,7 +63,6 @@ __all__ = [
     "panel_sum",
     "refined_singular_head",
     "sine_integral",
-    "singular_head",
     "truncation_bound",
     "Coherent",
     "GnVariant",

@@ -25,19 +25,10 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .config import AppConfig, ConfigError, load_config
-from .engine import (
-    Coherent,
-    PerformanceCoeffs,
-    SpanScaled,
-    ase_coefficient,
-    nl_coefficient_with_report,
-    optimal_power,
-    osnr_eff,
-    q_factor,
-)
+from .engine import Coherent, SpanScaled, nl_coefficient_with_report
 from .link import derive_span
 from .quadrature import brute_force_gamma_integral, log_weighted_integral, truncation_bound
-from .sweep import optimal_split, sweep_power, sweep_split
+from .sweep import optimal_split, split_step_count, sweep_power, sweep_split
 from .units import dbm_to_watt, linear_to_db, watt_to_dbm
 
 __all__ = ["main", "build_parser"]
@@ -61,8 +52,19 @@ def _csv_table(header: Sequence[str], rows: Sequence[Sequence[Any]],
     return buf.getvalue()
 
 
+def _json_safe(obj: Any) -> Any:
+    """Strict-JSON form of a report: non-finite floats become null."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
 def _json_text(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_json_safe(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(report: Dict[str, Any], fmt: str) -> str:
@@ -127,11 +129,10 @@ def cmd_sweep_split(cfg: AppConfig, step_km: Optional[float]) -> Tuple[str, int]
     leading, trailing = cfg.span.segments
     span_length = cfg.span.length
     step = step_km * 1e3 if step_km is not None else span_length / 20.0
-    if not 0.0 < step <= span_length:
-        raise ConfigError("--step-km must lie in (0, span length]")
-    n_steps = span_length / step
-    if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
-        raise ConfigError("--step-km must divide the span length")
+    try:
+        split_step_count(span_length, step)
+    except ValueError as exc:
+        raise ConfigError(f"--step-km: {exc}") from exc
     rows = sweep_split(leading, trailing, span_length, cfg.system, step,
                        cfg.variant, cfg.settings)
     best = optimal_split(rows)

@@ -36,7 +36,6 @@ __all__ = [
     "IntegralReport",
     "sine_integral",
     "delta_rule",
-    "singular_head",
     "refined_singular_head",
     "integrate_body",
     "truncation_bound",
@@ -181,37 +180,12 @@ def delta_rule(n_spans: int, zeta_max: float, settings: QuadratureSettings) -> f
     return min(settings.delta_safety * 3.0 * math.sqrt(3.0) / n_spans, 0.5 * zeta_max)
 
 
-def _fejer_running_integral(x: float, n_spans: int) -> float:
-    """int_0^x n_spans*phi(z) dz = x + sum_j (1/j - 1/N) sin(2 j x)."""
-    total = x
-    for j in range(1, n_spans):
-        total += (1.0 / j - 1.0 / n_spans) * math.sin(2.0 * j * x)
-    return total
-
-
 def _fejer_log_moment(x: float, n_spans: int) -> float:
     """int_0^x ln(x/z) n_spans*phi(z) dz = x + sum_j (1/j - 1/N) Si(2 j x)."""
     total = x
     for j in range(1, n_spans):
         total += (1.0 / j - 1.0 / n_spans) * sine_integral(2.0 * j * x)
     return total
-
-
-def singular_head(delta: float, d: DerivedSpan) -> float:
-    """Closed-form estimate of the head integral int_0^delta ln(zeta_max/z) xi dz.
-
-    Freezes the FWM efficiency at its zeta = 0 value (valid for delta well
-    inside the efficiency's flat region) and integrates the log weight
-    against the phased-array factor exactly via Fejer antiderivatives.
-    """
-    if not 0.0 < delta <= d.zeta_max:
-        raise ValueError("delta must lie in (0, zeta_max]")
-    eta0 = fwm_efficiency(0.0, d)
-    n = d.n_spans
-    return (eta0 / n) * (
-        math.log(d.zeta_max / delta) * _fejer_running_integral(delta, n)
-        + _fejer_log_moment(delta, n)
-    )
 
 
 def refined_singular_head(delta: float, d: DerivedSpan,

@@ -4,11 +4,15 @@ The split sweep answers the deployment question "given a span length budget
 and two fiber types, how much of the span should be the premium fiber":
 it slides the boundary between a leading fiber (placed at the span input,
 where the signal power and therefore the nonlinear distortion is highest)
-and a trailing fiber, re-deriving the whole performance stack per point.
+and a trailing fiber.  It runs in two steps: the span physics of each split
+(gamma_nl, ASE and the optimal launch power, none of which depend on MPI)
+is computed once, then `apply_mpi` evaluates an MPI model on those rows at
+almost no cost, so several MPI models can share one physics sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -16,10 +20,9 @@ from .engine import (
     Coherent,
     GnVariant,
     PerformanceCoeffs,
-    ase_coefficient,
-    nl_coefficient,
     optimal_power,
     osnr_eff,
+    performance_coeffs,
     q_factor,
 )
 from .link import FiberSegment, SpanPlan, SystemConfig
@@ -30,6 +33,8 @@ __all__ = [
     "SplitSweepRow",
     "sweep_power",
     "sweep_split",
+    "apply_mpi",
+    "split_step_count",
     "optimal_split",
     "span_with_split",
 ]
@@ -65,11 +70,7 @@ def sweep_power(
 
     The noise coefficients are derived once and reused for every power.
     """
-    coeffs = PerformanceCoeffs(
-        ase=ase_coefficient(span, sys),
-        mpi=(1.0 - sys.mpi_compensation) * sys.mpi_coeff,
-        nl=nl_coefficient(span, sys, variant, settings),
-    )
+    coeffs = performance_coeffs(span, sys, variant, settings)
     rows = []
     for p in powers:
         osnr = osnr_eff(p, coeffs)
@@ -97,6 +98,22 @@ def span_with_split(
     return SpanPlan(segments=tuple(segments))
 
 
+def split_step_count(span_length: float, step: float) -> int:
+    """Number of split steps across the span.
+
+    `step` must divide `span_length` to within 1 part in 1e9 so the sweep
+    lands exactly on the endpoints; ValueError otherwise.
+    """
+    if not span_length > 0.0:
+        raise ValueError("span_length must be > 0")
+    if not 0.0 < step <= span_length:
+        raise ValueError("step must lie in (0, span_length]")
+    n_steps = span_length / step
+    if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
+        raise ValueError("step must divide span_length")
+    return int(round(n_steps))
+
+
 def sweep_split(
     leading: FiberSegment,
     trailing: FiberSegment,
@@ -109,45 +126,50 @@ def sweep_split(
 ) -> List[SplitSweepRow]:
     """Sweep the leading-fiber length from 0 to the full span.
 
-    `step` must divide `span_length` to within 1 part in 1e9 so the sweep
-    lands exactly on the endpoints.  `mpi_model`, when given, maps the
-    leading-fiber length in m to the (uncompensated) MPI coefficient of that
-    row, overriding the constant value from `sys`; compensation from `sys`
-    still applies.  Each row re-derives the noise coefficients and evaluates
-    the link at its own optimal launch power.
+    `step` is checked by `split_step_count`.  Each split's span physics
+    (gamma_nl, ASE, optimal launch power) is computed once, then
+    `apply_mpi(rows, sys, mpi_model)` fills in the MPI-dependent fields.
     """
-    if not span_length > 0.0:
-        raise ValueError("span_length must be > 0")
-    if not 0.0 < step <= span_length:
-        raise ValueError("step must lie in (0, span_length]")
-    n_steps = span_length / step
-    if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
-        raise ValueError("step must divide span_length")
-    n_steps = int(round(n_steps))
-
+    n_steps = split_step_count(span_length, step)
     rows = []
     for i in range(n_steps + 1):
         first = span_length * i / n_steps
         span = span_with_split(leading, trailing, span_length, first)
-        row_sys = sys if mpi_model is None else replace(sys, mpi_coeff=mpi_model(first))
-        coeffs = PerformanceCoeffs(
-            ase=ase_coefficient(span, row_sys),
-            mpi=(1.0 - row_sys.mpi_compensation) * row_sys.mpi_coeff,
-            nl=nl_coefficient(span, row_sys, variant, settings),
-        )
-        p_opt = optimal_power(coeffs)
-        osnr = osnr_eff(p_opt, coeffs)
+        coeffs = performance_coeffs(span, sys, variant, settings)
         rows.append(SplitSweepRow(
             first_length=first,
             split_ratio=first / span_length,
             gamma_nl=coeffs.nl,
             ase=coeffs.ase,
             mpi=coeffs.mpi,
-            p_opt=p_opt,
-            osnr_opt=osnr,
-            q_opt_db=q_factor(osnr, row_sys),
+            p_opt=optimal_power(coeffs),
+            osnr_opt=math.nan,
+            q_opt_db=math.nan,
         ))
-    return rows
+    return apply_mpi(rows, sys, mpi_model)
+
+
+def apply_mpi(
+    rows: Sequence[SplitSweepRow],
+    sys: SystemConfig,
+    mpi_model: Optional[Callable[[float], float]] = None,
+) -> List[SplitSweepRow]:
+    """Re-evaluate split rows under another MPI model, without integrals.
+
+    `mpi_model`, when given, maps the leading-fiber length in m to the
+    (uncompensated) MPI coefficient of that row, overriding the constant
+    value from `sys`; compensation from `sys` still applies.  Only `mpi`,
+    `osnr_opt` and `q_opt_db` change: the optimal launch power does not
+    depend on MPI (see `optimal_power`).
+    """
+    out = []
+    for row in rows:
+        row_sys = sys if mpi_model is None else replace(
+            sys, mpi_coeff=mpi_model(row.first_length))
+        mpi = (1.0 - row_sys.mpi_compensation) * row_sys.mpi_coeff
+        osnr = osnr_eff(row.p_opt, PerformanceCoeffs(ase=row.ase, mpi=mpi, nl=row.gamma_nl))
+        out.append(replace(row, mpi=mpi, osnr_opt=osnr, q_opt_db=q_factor(osnr, row_sys)))
+    return out
 
 
 def optimal_split(rows: Sequence[SplitSweepRow]) -> SplitSweepRow:

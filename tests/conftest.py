@@ -1,6 +1,7 @@
 """Shared fixtures: a transatlantic-class reference link, a toy system,
 and strategies for randomly generated spans."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -12,7 +13,9 @@ from hybridgn import (
     SpanPlan,
     SystemConfig,
     derive_span,
+    fwm_efficiency,
 )
+from hybridgn.quadrature import _fejer_log_moment
 from hybridgn.units import (
     attenuation_db_per_km_to_np_per_m,
     beta2_ps2_per_km_to_s2_per_m,
@@ -64,6 +67,32 @@ def d_toy(hybrid_span):
 @pytest.fixture(scope="session")
 def settings():
     return QuadratureSettings()
+
+
+def fejer_running_integral(x: float, n_spans: int) -> float:
+    """int_0^x n_spans*phi(z) dz = x + sum_j (1/j - 1/N) sin(2 j x)."""
+    total = x
+    for j in range(1, n_spans):
+        total += (1.0 / j - 1.0 / n_spans) * math.sin(2.0 * j * x)
+    return total
+
+
+def singular_head(delta: float, d) -> float:
+    """Closed-form estimate of the head integral int_0^delta ln(zeta_max/z) xi dz.
+
+    Freezes the FWM efficiency at its zeta = 0 value (valid for delta well
+    inside the efficiency's flat region) and integrates the log weight
+    against the phased-array factor exactly via Fejer antiderivatives.  A
+    coarser cousin of `refined_singular_head`, kept as a test oracle.
+    """
+    if not 0.0 < delta <= d.zeta_max:
+        raise ValueError("delta must lie in (0, zeta_max]")
+    eta0 = fwm_efficiency(0.0, d)
+    n = d.n_spans
+    return (eta0 / n) * (
+        math.log(d.zeta_max / delta) * fejer_running_integral(delta, n)
+        + _fejer_log_moment(delta, n)
+    )
 
 
 def split_segments(span: SpanPlan, parts: int) -> SpanPlan:

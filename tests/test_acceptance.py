@@ -31,12 +31,11 @@ from hybridgn import (
     osnr_eff,
     phased_array,
     refined_singular_head,
-    singular_head,
     truncation_bound,
     xi,
 )
 from hybridgn.sweep import optimal_split, sweep_split
-from conftest import ATLANTIC, QSMF, SMF, TOY, split_segments
+from conftest import ATLANTIC, QSMF, SMF, TOY, singular_head, split_segments
 
 REPO = Path(__file__).resolve().parent.parent
 RESULTS = []

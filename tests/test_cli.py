@@ -277,3 +277,38 @@ def test_no_subcommand_is_usage_error():
 def test_config_flag_is_required():
     res = run_cli("gamma")
     assert res.returncode == 2
+
+
+def _strict_json(data):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(data, parse_constant=reject)
+
+
+def test_json_output_is_strict_for_non_finite_values(tmp_path):
+    """All-zero gamma: the dB coefficient is -inf and Q is +inf (BER
+    underflows to 0); both are written as null, never as -Infinity or
+    Infinity."""
+    raw = json.loads(Path(TOY_CFG).read_text())
+    for seg in raw["span"]:
+        seg["gamma_per_w_km"] = 0.0
+    p = tmp_path / "linear.json"
+    p.write_text(json.dumps(raw))
+
+    res = run_cli("gamma", "--config", str(p), "--format", "json")
+    assert res.returncode == 0, res.stderr
+    report = _strict_json(res.stdout)
+    assert report["gamma_nl_per_w2"] == 0.0
+    assert report["gamma_nl_db_mw2"] is None
+
+    res = run_cli("sweep-power", "--config", str(p), "--format", "json",
+                  "--p-min-dbm", "0", "--p-max-dbm", "1", "--p-step-db", "1")
+    assert res.returncode == 0, res.stderr
+    rows = _strict_json(res.stdout)
+    assert [r["p_dbm"] for r in rows] == [0.0, 1.0]
+    assert all(r["q_db"] is None and math.isfinite(r["osnr_db"]) for r in rows)
+
+
+def test_json_text_nulls_non_finite_floats():
+    text = cli._json_text({"a": [1.0, math.nan, (math.inf, -math.inf)], "b": 2})
+    assert _strict_json(text) == {"a": [1.0, None, [None, None]], "b": 2}

@@ -18,12 +18,11 @@ from hybridgn import (
     log_weighted_integral,
     panel_sum,
     refined_singular_head,
-    singular_head,
     truncation_bound,
     xi,
 )
-from hybridgn.quadrature import _fejer_log_moment, _fejer_running_integral
-from conftest import ATLANTIC, QSMF, SMF, TOY
+from hybridgn.quadrature import _fejer_log_moment
+from conftest import ATLANTIC, QSMF, SMF, TOY, fejer_running_integral, singular_head
 
 
 def _xi_scalar(z, d):
@@ -165,7 +164,7 @@ def test_fejer_antiderivatives_match_quadrature():
 
         for x in (0.3, 1.1, 2.9):
             run_ref = integrate.quad(n_phi, 0.0, x, limit=200)[0]
-            assert _fejer_running_integral(x, n) == pytest.approx(run_ref, rel=1e-12)
+            assert fejer_running_integral(x, n) == pytest.approx(run_ref, rel=1e-12)
             plain = run_ref
             logged = integrate.quad(n_phi, 0.0, x, weight="alg-loga",
                                     wvar=(0.0, 0.0), limit=200)[0]

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,7 +17,7 @@ from hybridgn import (
     sweep_power,
     sweep_split,
 )
-from hybridgn.sweep import span_with_split
+from hybridgn.sweep import apply_mpi, span_with_split, split_step_count
 from hybridgn.units import dbm_to_watt, watt_to_dbm
 from conftest import ATLANTIC, QSMF, SMF
 
@@ -175,3 +175,48 @@ def test_split_sweep_mpi_compensation_still_applies(settings):
 def test_optimal_split_rejects_empty():
     with pytest.raises(ValueError):
         optimal_split([])
+
+
+# ---------------------------------------------------------------------------
+# MPI step
+
+
+@pytest.mark.parametrize("compensation", [0.0, 0.5], ids=["plain", "compensated"])
+@pytest.mark.parametrize("strength", [0.0, 0.02, 0.1])
+def test_apply_mpi_equals_sweep_split_with_the_model(settings, compensation, strength):
+    sys = replace(ATLANTIC, mpi_coeff=0.01, mpi_compensation=compensation)
+    model = lambda first: strength * (first / 100e3)
+    physics = sweep_split(QSMF, SMF, 100e3, sys, 25e3, Coherent(), settings)
+    direct = sweep_split(QSMF, SMF, 100e3, sys, 25e3, Coherent(), settings,
+                         mpi_model=model)
+    reused = apply_mpi(physics, sys, model)
+    assert len(reused) == len(direct)
+    for a, b in zip(reused, direct):
+        for f in fields(SplitSweepRow):
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+def test_apply_mpi_without_model_keeps_the_constant_mpi(settings):
+    sys = replace(ATLANTIC, mpi_coeff=0.01, mpi_compensation=0.25)
+    rows = sweep_split(QSMF, SMF, 100e3, sys, 50e3, Coherent(), settings)
+    assert apply_mpi(rows, sys) == rows
+    assert all(r.mpi == 0.75 * 0.01 for r in rows)
+
+
+def test_apply_mpi_changes_only_the_mpi_fields(settings):
+    physics = sweep_split(QSMF, SMF, 100e3, ATLANTIC, 50e3, Coherent(), settings)
+    rows = apply_mpi(physics, ATLANTIC, lambda first: 0.05)
+    for a, b in zip(rows, physics):
+        assert (a.first_length, a.split_ratio, a.gamma_nl, a.ase, a.p_opt) == \
+            (b.first_length, b.split_ratio, b.gamma_nl, b.ase, b.p_opt)
+        assert a.mpi == 0.05 and a.osnr_opt < b.osnr_opt and a.q_opt_db < b.q_opt_db
+
+
+def test_split_step_count():
+    assert split_step_count(100e3, 25e3) == 4
+    assert split_step_count(100e3, 100e3) == 1
+    assert split_step_count(100e3, 100e3 / 3.0) == 3
+    for span_length, step in ((100e3, 7e3), (100e3, 0.0), (100e3, -5e3),
+                              (100e3, 200e3), (0.0, 1.0), (100e3, math.nan)):
+        with pytest.raises(ValueError):
+            split_step_count(span_length, step)
