@@ -13,6 +13,7 @@ Run from the repository root:
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +30,6 @@ from hybridgn import (
     osnr_eff,
     performance_coeffs,
     q_factor,
-    sweep_power,
 )
 from hybridgn.units import (
     attenuation_db_per_km_to_np_per_m,
@@ -81,6 +81,9 @@ def main(argv=None):
     parser.add_argument("-o", "--output", default=None,
                         help="CSV destination (default stdout)")
     args = parser.parse_args(argv)
+    if not (all(map(math.isfinite, (args.p_min_dbm, args.p_max_dbm, args.p_step_db)))
+            and args.p_step_db > 0):
+        parser.error("power bounds must be finite and --p-step-db finite and > 0")
 
     settings = QuadratureSettings()
     variant = Coherent()
@@ -91,28 +94,29 @@ def main(argv=None):
         grid.append(dbm_to_watt(p))
         p += args.p_step_db
 
-    sweeps = {name: sweep_power(span, SYSTEM, grid, variant, settings)
+    # one gamma_nl integral per design, shared by the sweep and the summary
+    coeffs = {name: performance_coeffs(span, SYSTEM, variant, settings)
               for name, span in DESIGNS.items()}
 
     sink = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         writer = csv.writer(sink)
         writer.writerow(["p_dbm"] + [f"q_db_{name}" for name in DESIGNS])
-        for i, power in enumerate(grid):
+        for power in grid:
             row = [f"{watt_to_dbm(power):.2f}"]
-            row += [repr(sweeps[name][i].q_db) for name in DESIGNS]
+            row += [repr(q_factor(osnr_eff(power, coeffs[name]), SYSTEM))
+                    for name in DESIGNS]
             writer.writerow(row)
 
         writer.writerow([])
         writer.writerow(["design", "gamma_nl_per_w2", "p_opt_dbm",
                          "osnr_opt_db", "q_opt_db"])
-        for name, span in DESIGNS.items():
-            coeffs = performance_coeffs(span, SYSTEM, variant, settings)
-            p_opt = optimal_power(coeffs)
-            osnr = osnr_eff(p_opt, coeffs)
+        for name in DESIGNS:
+            p_opt = optimal_power(coeffs[name])
+            osnr = osnr_eff(p_opt, coeffs[name])
             writer.writerow([
                 name,
-                repr(coeffs.nl),
+                repr(coeffs[name].nl),
                 f"{watt_to_dbm(p_opt):.3f}",
                 f"{linear_to_db(osnr):.3f}",
                 f"{q_factor(osnr, SYSTEM):.3f}",

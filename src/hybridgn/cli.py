@@ -106,8 +106,9 @@ def cmd_gamma(cfg: AppConfig) -> Tuple[str, int]:
 
 def cmd_sweep_power(cfg: AppConfig, p_min_dbm: float, p_max_dbm: float,
                     p_step_db: float) -> Tuple[str, int]:
-    if not p_step_db > 0 or p_max_dbm < p_min_dbm:
-        raise ConfigError("power grid needs p_min <= p_max and a positive step")
+    if not (all(map(math.isfinite, (p_min_dbm, p_max_dbm, p_step_db)))
+            and p_step_db > 0 and p_min_dbm <= p_max_dbm):
+        raise ConfigError("power grid needs finite p_min <= p_max and a finite positive step")
     n = int(math.floor((p_max_dbm - p_min_dbm) / p_step_db + 1e-9))
     grid_dbm = [p_min_dbm + i * p_step_db for i in range(n + 1)]
     rows = sweep_power(cfg.span, cfg.system, [dbm_to_watt(p) for p in grid_dbm],
@@ -157,6 +158,10 @@ def cmd_sweep_split(cfg: AppConfig, step_km: Optional[float]) -> Tuple[str, int]
 
 
 def cmd_check(cfg: AppConfig, grid_n: int, tolerance: float) -> Tuple[str, int]:
+    if grid_n < 2 or grid_n % 2:
+        raise ConfigError(f"--grid must be even and >= 2, got {grid_n}")
+    if not 0.0 <= tolerance < math.inf:
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {tolerance}")
     # Shrink the spectral extent so the 2-D reference stays cheap while the
     # fibers under test are kept unchanged.
     small = replace(cfg.system,
@@ -264,9 +269,10 @@ def _apply_overrides(cfg: AppConfig, args: argparse.Namespace) -> AppConfig:
     if args.no_truncation:
         settings = replace(settings, truncation_enabled=False)
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        settings = replace(settings, workers=args.workers)
+        try:
+            settings = replace(settings, workers=args.workers)
+        except ValueError as exc:
+            raise ConfigError(f"--workers: {exc}") from exc
 
     variant = cfg.variant
     if args.variant == "coherent":

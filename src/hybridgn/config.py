@@ -1,19 +1,18 @@
-"""JSON configuration schema and ingestion.
+"""Strict JSON reader and ingestion of config files.
 
 A config file fully describes one link study: the span's fiber segments in
 datasheet units, the system parameters, optional quadrature overrides, and
-optional output/variant blocks.  Validation is strict (unknown keys are
-rejected) and happens before any computation; unit conversion to SI occurs
-here and nowhere else.
+optional output/variant blocks.  Validation is strict and happens before any
+computation: the reader rejects unknown and missing keys, wrong JSON types
+and unknown enum values, and the model classes check every value range.
+Unit conversion to SI occurs here and nowhere else.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
-
-import jsonschema
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from .engine import Coherent, GnVariant, SpanScaled
 from .link import FiberSegment, SpanPlan, SystemConfig
@@ -24,82 +23,77 @@ from .units import (
     gamma_per_w_km_to_per_w_m,
 )
 
-__all__ = ["ConfigError", "AppConfig", "CONFIG_SCHEMA", "load_config", "parse_config"]
+__all__ = ["ConfigError", "AppConfig", "load_config", "parse_config"]
 
 
 class ConfigError(ValueError):
     """Raised for malformed, invalid, or physically inconsistent configs."""
 
 
-CONFIG_SCHEMA: Dict[str, Any] = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["span", "system"],
-    "properties": {
-        "span": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["name", "length_km", "attenuation_db_per_km",
-                             "beta2_ps2_per_km", "gamma_per_w_km"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "length_km": {"type": "number", "exclusiveMinimum": 0},
-                    "attenuation_db_per_km": {"type": "number", "minimum": 0},
-                    "beta2_ps2_per_km": {"type": "number"},
-                    "gamma_per_w_km": {"type": "number", "minimum": 0},
-                },
-            },
-        },
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["spans", "symbol_rate_gbd", "channels",
-                         "noise_figure_db", "wavelength_nm"],
-            "properties": {
-                "spans": {"type": "integer", "minimum": 1},
-                "symbol_rate_gbd": {"type": "number", "exclusiveMinimum": 0},
-                "channels": {"type": "integer", "minimum": 1},
-                "noise_figure_db": {"type": "number"},
-                "wavelength_nm": {"type": "number", "exclusiveMinimum": 0},
-                "mpi_coeff_per_w": {"type": "number", "minimum": 0},
-                "mpi_compensation": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "quadrature": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "delta_safety": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "nodes_per_oscillation": {"type": "integer", "minimum": 2},
-                "target_rel_truncation": {"type": "number", "exclusiveMinimum": 0},
-                "truncation_enabled": {"type": "boolean"},
-                "pole_window": {"type": "number", "exclusiveMinimum": 0},
-                "workers": {"type": "integer", "minimum": 1},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "format": {"enum": ["csv", "json"]},
-                "path": {"type": "string"},
-            },
-        },
-        "variant": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["coherent", "span_scaled"]},
-                "epsilon": {"type": "number"},
-            },
-        },
-    },
+class _Object(NamedTuple):
+    """A JSON object: each key's kind, and the keys that must be present."""
+
+    fields: Dict[str, Any]
+    required: Tuple[str, ...] = ()
+
+
+# What json.load returns for each JSON type; bool is an int subclass.
+_JSON_TYPES = {
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
 }
+
+_SEGMENT = {"name": "string", "length_km": "number", "attenuation_db_per_km": "number",
+            "beta2_ps2_per_km": "number", "gamma_per_w_km": "number"}
+
+# A kind is a JSON type name, a tuple of allowed strings, a one-element list
+# (a JSON array of that kind) or an _Object.  Value ranges are not listed
+# here: the model classes check them.
+_CONFIG = _Object({
+    "span": [_Object(_SEGMENT, tuple(_SEGMENT))],
+    "system": _Object({"spans": "integer", "symbol_rate_gbd": "number",
+                       "channels": "integer", "noise_figure_db": "number",
+                       "wavelength_nm": "number", "mpi_coeff_per_w": "number",
+                       "mpi_compensation": "number"},
+                      ("spans", "symbol_rate_gbd", "channels", "noise_figure_db",
+                       "wavelength_nm")),
+    "quadrature": _Object({"delta_safety": "number", "nodes_per_oscillation": "integer",
+                           "target_rel_truncation": "number",
+                           "truncation_enabled": "boolean", "pole_window": "number",
+                           "workers": "integer"}),
+    "output": _Object({"format": ("csv", "json"), "path": "string"}),
+    "variant": _Object({"kind": ("coherent", "span_scaled"), "epsilon": "number"},
+                       ("kind",)),
+}, ("span", "system"))
+
+
+def _check(value: Any, kind: Any, where: str) -> None:
+    """Raise ConfigError unless `value` has the JSON shape `kind`."""
+    def invalid(message: str) -> None:
+        raise ConfigError(f"config invalid at {where or '(top level)'}: {message}")
+
+    if isinstance(kind, _Object):
+        if not isinstance(value, dict):
+            invalid(f"expected an object, got {value!r}")
+        for key in kind.required:
+            if key not in value:
+                invalid(f"missing required key {key!r}")
+        for key, item in value.items():
+            if key not in kind.fields:
+                invalid(f"unknown key {key!r}")
+            _check(item, kind.fields[key], f"{where}/{key}".lstrip("/"))
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            invalid(f"expected a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check(item, kind[0], f"{where}/{i}")
+    elif isinstance(kind, tuple):
+        if value not in kind:
+            invalid(f"{value!r} is not one of {list(kind)}")
+    elif not _JSON_TYPES[kind](value):
+        invalid(f"expected {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,13 +110,7 @@ class AppConfig:
 
 def parse_config(raw: Dict[str, Any]) -> AppConfig:
     """Validate a parsed JSON object and convert it to model objects."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.absolute_path) or "(top level)"
-        raise ConfigError(f"config invalid at {where}: {e.message}")
-
+    _check(raw, _CONFIG, "")
     try:
         segments = tuple(
             FiberSegment(

@@ -260,6 +260,39 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, value):
     assert b"config error" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["gamma", "sweep-split", "check"])
+@pytest.mark.parametrize("block, key", [("system", "spans"),
+                                        ("quadrature", "nodes_per_oscillation")])
+def test_non_integral_count_in_config_is_a_config_error(tmp_path, command, block, key):
+    """A JSON 2.0 is a number, not an integer: it must not reach range() or a
+    numpy cast as a float."""
+    raw = json.loads(Path(TOY_CFG).read_text())
+    raw.setdefault(block, {})[key] = 2.0
+    p = tmp_path / "float_count.json"
+    p.write_text(json.dumps(raw))
+    res = run_cli(command, "--config", str(p))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == b""
+    assert b"config error" in res.stderr and key.encode() in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--config", TOY_CFG, "--grid", "255"],
+    ["check", "--config", TOY_CFG, "--grid", "0"],
+    ["check", "--config", TOY_CFG, "--tolerance", "nan"],
+    ["sweep-power", "--config", TOY_CFG, "--p-min-dbm", "nan"],
+    ["sweep-power", "--config", TOY_CFG, "--p-min-dbm=-inf"],
+    ["sweep-power", "--config", TOY_CFG, "--p-max-dbm", "inf"],
+    ["gamma", "--config", TOY_CFG, "--workers", "0"],
+], ids=["grid-odd", "grid-zero", "tolerance-nan", "p-min-nan", "p-min-minus-inf",
+        "p-max-inf", "workers-zero"])
+def test_bad_numeric_argument_is_an_argument_error(args):
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == b""
+    assert b"config error" in res.stderr
+
+
 def test_unknown_config_key(tmp_path):
     p = tmp_path / "extra.json"
     raw = json.loads(Path(TOY_CFG).read_text())

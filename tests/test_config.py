@@ -89,34 +89,128 @@ def test_missing_required_field_rejected():
         parse_config(raw)
 
 
-def test_wrong_type_rejected():
+_DELETE = object()
+
+
+def _edited(path, value):
+    """_minimal() plus the three optional blocks, with the value at `path`
+    (keys and list indices) replaced, or removed when `value` is _DELETE."""
     raw = _minimal()
-    raw["system"]["symbol_rate_gbd"] = "32"
+    raw.update(quadrature={}, output={}, variant={"kind": "coherent"})
+    node = raw
+    for step in path[:-1]:
+        node = node[step]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return raw
+
+
+_NUMBER_KEYS = [
+    ("span", 0, "length_km"), ("span", 0, "attenuation_db_per_km"),
+    ("span", 0, "beta2_ps2_per_km"), ("span", 0, "gamma_per_w_km"),
+    ("system", "symbol_rate_gbd"), ("system", "noise_figure_db"),
+    ("system", "wavelength_nm"), ("system", "mpi_coeff_per_w"),
+    ("system", "mpi_compensation"), ("quadrature", "delta_safety"),
+    ("quadrature", "target_rel_truncation"), ("quadrature", "pole_window"),
+    ("variant", "epsilon"),
+]
+_INTEGER_KEYS = [("system", "spans"), ("system", "channels"),
+                 ("quadrature", "nodes_per_oscillation"), ("quadrature", "workers")]
+
+
+def _case(path, value, tag):
+    return pytest.param(path, value, id="/".join(map(str, path)) + "=" + tag)
+
+
+@pytest.mark.parametrize("path, value", [
+    # a string, a bool and a null where a number is expected; the string case
+    # of system/symbol_rate_gbd is this test's first input
+    *[_case(key, bad, tag) for key in _NUMBER_KEYS + _INTEGER_KEYS
+      for bad, tag in (("32", "string"), (True, "true"), (None, "null"))],
+    # JSON numbers that are not integers where an integer is expected
+    *[_case(key, bad, tag) for key in _INTEGER_KEYS
+      for bad, tag in ((2.0, "2.0"), (2.5, "2.5"))],
+    _case(("span", 0, "name"), 1, "number"),
+    _case(("span", 0, "name"), None, "null"),
+    _case(("quadrature", "truncation_enabled"), 1, "number"),
+    _case(("quadrature", "truncation_enabled"), "false", "string"),
+    _case(("output", "path"), 1, "number"),
+    _case(("output", "path"), None, "null"),
+    # unknown keys, per block
+    *[_case((*block, "extra"), 1, "unknown") for block in
+      [(), ("span", 0), ("system",), ("quadrature",), ("output",), ("variant",)]],
+    # missing required keys, per block
+    *[_case(key, _DELETE, "missing") for key in [
+        ("span",), ("system",), ("span", 0, "name"), ("span", 0, "length_km"),
+        ("span", 0, "attenuation_db_per_km"), ("span", 0, "beta2_ps2_per_km"),
+        ("span", 0, "gamma_per_w_km"), ("system", "spans"),
+        ("system", "symbol_rate_gbd"), ("system", "channels"),
+        ("system", "noise_figure_db"), ("system", "wavelength_nm"),
+        ("variant", "kind")]],
+    # blocks of the wrong JSON type
+    *[_case(key, bad, tag) for key in [("system",), ("quadrature",), ("output",),
+                                       ("variant",), ("span", 0)]
+      for bad, tag in (([], "list"), ("x", "string"), (None, "null"))],
+    _case(("span",), {}, "object"),
+    _case(("span",), "smf", "string"),
+    _case(("span",), None, "null"),
+])
+def test_wrong_type_rejected(path, value):
+    raw = _edited(path, value)
     with pytest.raises(ConfigError):
         parse_config(raw)
 
 
-def test_schema_bounds_enforced():
-    raw = _minimal()
-    raw["span"][0]["length_km"] = 0.0
+@pytest.mark.parametrize("path, value", [
+    _case(("span", 0, "length_km"), 0.0, "0"),
+    _case(("span", 0, "length_km"), -1.0, "-1"),
+    _case(("span", 0, "attenuation_db_per_km"), -0.1, "-0.1"),
+    _case(("span", 0, "gamma_per_w_km"), -1.0, "-1"),
+    _case(("span",), [], "empty"),
+    _case(("system", "spans"), 0, "0"),
+    _case(("system", "symbol_rate_gbd"), 0.0, "0"),
+    _case(("system", "symbol_rate_gbd"), -32.0, "-32"),
+    _case(("system", "channels"), 0, "0"),
+    _case(("system", "wavelength_nm"), 0.0, "0"),
+    _case(("system", "wavelength_nm"), -1550.0, "-1550"),
+    _case(("system", "mpi_coeff_per_w"), -0.01, "-0.01"),
+    _case(("system", "mpi_compensation"), 1.5, "1.5"),
+    _case(("system", "mpi_compensation"), -0.5, "-0.5"),
+    _case(("output", "format"), "yaml", "yaml"),
+    _case(("output", "format"), "CSV", "CSV"),
+    _case(("variant", "kind"), "magic", "magic"),
+    _case(("variant", "kind"), "span-scaled", "span-scaled"),
+    _case(("quadrature", "nodes_per_oscillation"), 1, "1"),
+    _case(("quadrature", "nodes_per_oscillation"), 0, "0"),
+    _case(("quadrature", "delta_safety"), 0.0, "0"),
+    _case(("quadrature", "delta_safety"), 1.5, "1.5"),
+    _case(("quadrature", "target_rel_truncation"), 0.0, "0"),
+    _case(("quadrature", "target_rel_truncation"), -1e-4, "-1e-4"),
+    _case(("quadrature", "pole_window"), 0.0, "0"),
+    _case(("quadrature", "pole_window"), -1e-6, "-1e-6"),
+    _case(("quadrature", "workers"), 0, "0"),
+])
+def test_schema_bounds_enforced(path, value):
+    raw = _edited(path, value)
     with pytest.raises(ConfigError):
         parse_config(raw)
-    raw = _minimal()
-    raw["system"]["mpi_compensation"] = 1.5
-    with pytest.raises(ConfigError):
-        parse_config(raw)
-    raw = _minimal()
-    raw["output"] = {"format": "yaml"}
-    with pytest.raises(ConfigError):
-        parse_config(raw)
-    raw = _minimal()
-    raw["variant"] = {"kind": "magic"}
-    with pytest.raises(ConfigError):
-        parse_config(raw)
-    raw = _minimal()
-    raw["quadrature"] = {"nodes_per_oscillation": 1}
-    with pytest.raises(ConfigError):
-        parse_config(raw)
+
+
+@pytest.mark.parametrize("path, value", [
+    _case(("span", 0, "attenuation_db_per_km"), 0, "0"),
+    _case(("span", 0, "gamma_per_w_km"), 0, "0"),
+    _case(("span", 0, "length_km"), 80, "int"),
+    _case(("system", "spans"), 1, "1"),
+    _case(("system", "channels"), 1, "1"),
+    _case(("system", "mpi_compensation"), 1, "1"),
+    _case(("quadrature", "delta_safety"), 1, "1"),
+    _case(("quadrature", "nodes_per_oscillation"), 2, "2"),
+    _case(("output", "path"), "stdout", "stdout"),
+])
+def test_edge_values_accepted(path, value):
+    parse_config(_edited(path, value))
 
 
 def test_model_level_validation_still_applies():

@@ -1,9 +1,10 @@
-"""The runtime import path stays free of scipy.
+"""The runtime import path stays free of scipy and jsonschema.
 
-scipy is installed for the tests, so only a fresh interpreter shows what the
-CLI and the study scripts load by themselves.
+Both are installed on a test machine, so only a fresh interpreter shows what
+the CLI and the study scripts load by themselves.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -14,8 +15,9 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 TOY_CFG = str(REPO / "configs" / "toy.json")
 
-# Runs one entry point in this interpreter, then prints the loaded scipy
-# modules as the last line of stdout.
+# Runs one entry point in this interpreter, then prints the loaded scipy and
+# jsonschema modules (with the packages jsonschema brings) as the last line
+# of stdout.
 PROBE = """
 import importlib, json, runpy, sys
 kind, target, args = sys.argv[1], sys.argv[2], sys.argv[3:]
@@ -31,11 +33,13 @@ else:
     except SystemExit as exc:
         if exc.code not in (None, 0):
             raise
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+groups = {"scipy": {"scipy"},
+          "jsonschema": {"jsonschema", "jsonschema_specifications", "referencing", "rpds"}}
+print(json.dumps({name: sorted(m for m in sys.modules if m.split(".")[0] in roots)
+                  for name, roots in groups.items()}))
 """
 
-
-@pytest.mark.parametrize("kind, target, args", [
+ENTRY_POINTS = pytest.mark.parametrize("kind, target, args", [
     ("import", "hybridgn.cli", []),
     ("module", "hybridgn", ["gamma", "--config", TOY_CFG]),
     ("path", str(REPO / "scripts" / "power_sweep_study.py"),
@@ -43,9 +47,23 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     ("path", str(REPO / "scripts" / "split_mpi_study.py"),
      ["--strengths", "0", "--step-km", "50"]),
 ], ids=["import-cli", "python-m-gamma", "power-sweep-study", "split-mpi-study"])
-def test_runtime_loads_no_scipy(kind, target, args):
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded_modules(kind, target, args):
+    """Both tests read one probe run per entry point."""
     res = subprocess.run([sys.executable, "-c", PROBE, kind, target, *args],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    loaded = json.loads(res.stdout.splitlines()[-1])
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+@ENTRY_POINTS
+def test_runtime_loads_no_scipy(kind, target, args):
+    loaded = _loaded_modules(kind, target, tuple(args))["scipy"]
     assert loaded == []
+
+
+@ENTRY_POINTS
+def test_runtime_loads_no_jsonschema(kind, target, args):
+    assert _loaded_modules(kind, target, tuple(args))["jsonschema"] == []
