@@ -13,7 +13,6 @@ Run from the repository root:
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +30,7 @@ from hybridgn import (
     performance_coeffs,
     q_factor,
 )
+from hybridgn.sweep import power_grid_dbm
 from hybridgn.units import (
     attenuation_db_per_km_to_np_per_m,
     beta2_ps2_per_km_to_s2_per_m,
@@ -81,18 +81,14 @@ def main(argv=None):
     parser.add_argument("-o", "--output", default=None,
                         help="CSV destination (default stdout)")
     args = parser.parse_args(argv)
-    if not (all(map(math.isfinite, (args.p_min_dbm, args.p_max_dbm, args.p_step_db)))
-            and args.p_step_db > 0):
-        parser.error("power bounds must be finite and --p-step-db finite and > 0")
+    try:
+        grid_dbm = power_grid_dbm(args.p_min_dbm, args.p_max_dbm, args.p_step_db)
+    except ValueError as exc:
+        parser.error(str(exc))
+    grid = [dbm_to_watt(p) for p in grid_dbm]
 
     settings = QuadratureSettings()
     variant = Coherent()
-
-    grid = []
-    p = args.p_min_dbm
-    while p <= args.p_max_dbm + 1e-9:
-        grid.append(dbm_to_watt(p))
-        p += args.p_step_db
 
     # one gamma_nl integral per design, shared by the sweep and the summary
     coeffs = {name: performance_coeffs(span, SYSTEM, variant, settings)

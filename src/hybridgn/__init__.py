@@ -6,16 +6,14 @@ derivation, the single-integral evaluator and the performance layer.
 """
 
 from .link import DerivedSpan, FiberSegment, SpanPlan, SystemConfig, derive_span
-from .kernel import complex_effective_length, fwm_efficiency, phased_array, xi
+from .kernel import fwm_efficiency, phased_array, xi
 from .quadrature import (
     IntegralReport,
     QuadratureSettings,
     brute_force_gamma_integral,
-    choose_truncation,
     delta_rule,
     integrate_body,
     log_weighted_integral,
-    panel_sum,
     refined_singular_head,
     sine_integral,
     truncation_bound,
@@ -49,18 +47,15 @@ __all__ = [
     "SpanPlan",
     "SystemConfig",
     "derive_span",
-    "complex_effective_length",
     "fwm_efficiency",
     "phased_array",
     "xi",
     "IntegralReport",
     "QuadratureSettings",
     "brute_force_gamma_integral",
-    "choose_truncation",
     "delta_rule",
     "integrate_body",
     "log_weighted_integral",
-    "panel_sum",
     "refined_singular_head",
     "sine_integral",
     "truncation_bound",

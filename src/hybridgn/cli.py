@@ -28,7 +28,7 @@ from .config import AppConfig, ConfigError, load_config
 from .engine import Coherent, SpanScaled, nl_coefficient_with_report
 from .link import derive_span
 from .quadrature import brute_force_gamma_integral, log_weighted_integral, truncation_bound
-from .sweep import optimal_split, split_step_count, sweep_power, sweep_split
+from .sweep import optimal_split, power_grid_dbm, split_step_count, sweep_power, sweep_split
 from .units import dbm_to_watt, linear_to_db, watt_to_dbm
 
 __all__ = ["main", "build_parser"]
@@ -106,11 +106,10 @@ def cmd_gamma(cfg: AppConfig) -> Tuple[str, int]:
 
 def cmd_sweep_power(cfg: AppConfig, p_min_dbm: float, p_max_dbm: float,
                     p_step_db: float) -> Tuple[str, int]:
-    if not (all(map(math.isfinite, (p_min_dbm, p_max_dbm, p_step_db)))
-            and p_step_db > 0 and p_min_dbm <= p_max_dbm):
-        raise ConfigError("power grid needs finite p_min <= p_max and a finite positive step")
-    n = int(math.floor((p_max_dbm - p_min_dbm) / p_step_db + 1e-9))
-    grid_dbm = [p_min_dbm + i * p_step_db for i in range(n + 1)]
+    try:
+        grid_dbm = power_grid_dbm(p_min_dbm, p_max_dbm, p_step_db)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = sweep_power(cfg.span, cfg.system, [dbm_to_watt(p) for p in grid_dbm],
                        cfg.variant, cfg.settings)
     table = [

@@ -139,7 +139,8 @@ def parse_config(raw: Dict[str, Any]) -> AppConfig:
             variant: GnVariant = Coherent()
         else:
             variant = SpanScaled(epsilon=varraw.get("epsilon", 0.0))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer too large for a float in a number key
         raise ConfigError(str(exc)) from exc
 
     out = raw.get("output", {})

@@ -21,7 +21,6 @@ from .link import DerivedSpan
 __all__ = [
     "SERIES_SWITCH",
     "DEFAULT_POLE_WINDOW",
-    "complex_effective_length",
     "fwm_efficiency",
     "phased_array",
     "xi",
@@ -51,18 +50,6 @@ def _quotient(x: np.ndarray, e: np.ndarray, may_be_small: bool = True) -> np.nda
             out[big] = (1.0 - e[big]) / x[big]
             return out
     return (1.0 - e) / x
-
-
-def complex_effective_length(x, length):
-    """Effective interaction length length * (1 - exp(-x)) / x.
-
-    `x` is the complex per-segment exponent (twice attenuation plus phase
-    rotation over the segment); near x = 0 the quotient is evaluated by its
-    Taylor series to avoid cancellation.  Accepts scalars or arrays.
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=complex))
-    out = length * _quotient(x_arr, np.exp(-x_arr))
-    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
 def _segment_amplitude(zeta: np.ndarray, d: DerivedSpan) -> np.ndarray:

@@ -13,18 +13,21 @@ oscillates with period pi.  The evaluator splits the range into
                           contribution is below the requested tolerance.
 
 The body is evaluated in blocks of about BLOCK_NODES nodes, one kernel call
-per block.  Panel values are summed exactly (Shewchuk), so the result does
-not depend on how panels are grouped.  The stop test after each full period
-uses an exact running sum; the integrand is nonnegative, so that sum never
-falls and the latest possible stop is known before a block is built.
-Blocks end there.
+per block.  Before the first block, one vectorised call of
+:func:`truncation_bound` gives every panel that closes a period its tight
+tail bound.  The body stops at the first such panel whose bound is within
+the target of the estimate head + panels so far.  The integrand is
+nonnegative, so that estimate never falls: the first panel admissible at the
+estimate before a block caps the block's end.  The kept panels are summed
+with one math.fsum, so the result does not depend on how panels were
+grouped into blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,10 +42,8 @@ __all__ = [
     "refined_singular_head",
     "integrate_body",
     "truncation_bound",
-    "choose_truncation",
     "log_weighted_integral",
     "brute_force_gamma_integral",
-    "panel_sum",
 ]
 
 
@@ -216,39 +217,6 @@ def refined_singular_head(delta: float, d: DerivedSpan,
 BLOCK_NODES = 1 << 14
 
 
-def panel_sum(values: Iterable[float]) -> float:
-    """Exactly rounded sum of panel contributions.
-
-    Shewchuk summation makes the result independent of the order in which
-    panels were evaluated and of how they were grouped into blocks.
-    """
-    return math.fsum(values)
-
-
-class _RunningSum:
-    """Shewchuk partials of a growing sum: each term is added once, and
-    value() equals panel_sum of all the terms added so far."""
-
-    def __init__(self) -> None:
-        self.partials: List[float] = []
-
-    def add(self, x: float) -> None:
-        i = 0
-        for y in self.partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                self.partials[i] = lo
-                i += 1
-            x = hi
-        self.partials[i:] = [x]
-
-    def value(self) -> float:
-        return math.fsum(self.partials)
-
-
 def _simpson(f_vals: np.ndarray, h: float) -> float:
     """Composite Simpson rule over equally spaced samples (even count)."""
     n = f_vals.shape[0] - 1
@@ -326,16 +294,17 @@ def _simpson_block(a: np.ndarray, b: np.ndarray, n_sub: np.ndarray,
     return sums * h / 3.0
 
 
-def _body_panels(lower: float, upper: float, d: DerivedSpan, settings: QuadratureSettings,
-                 f: Callable[[np.ndarray], np.ndarray],
-                 reach: Callable[[], Optional[float]] = lambda: None,
-                 ) -> Iterator[Tuple[int, float]]:
-    """Yield (k, Simpson value) of every pi-aligned panel of [lower, upper] in
-    order, k as in :func:`_pi_panels`.
+def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
+                      settings: QuadratureSettings,
+                      f: Callable[[np.ndarray], np.ndarray],
+                      head: float = 0.0, truncate: bool = False,
+                      ) -> Tuple[float, int, Optional[int], float]:
+    """Composite-Simpson sum of the pi-aligned panels of [lower, upper],
+    evaluated block by block.
 
-    Panels are evaluated lazily, one block at a time; a consumer that stops
-    iterating stops the evaluation.  Before each block `reach()` may name a
-    point that no panel of the block may end beyond (None: no limit).
+    With `truncate`, stop at the first panel closing a period k >= 2 whose
+    tight tail bound (m = k - 1) is <= target * (head + panels so far).
+    Returns (body, panels evaluated, m or None, tight bound at the stop or 0).
     """
     a, b, closes = _pi_panels(lower, upper)
     sub_per_pi = d.n_spans * settings.nodes_per_oscillation
@@ -343,16 +312,33 @@ def _body_panels(lower: float, upper: float, d: DerivedSpan, settings: Quadratur
     n_sub = np.maximum(n_floor,
                        2 * np.ceil((b - a) / math.pi * sub_per_pi / 2.0).astype(np.int64))
     nodes_before = np.concatenate(([0], np.cumsum(n_sub + 1)))
+    # NaN where no stop is allowed: it compares false against any estimate
+    bound = np.full(len(a), np.nan)
+    if truncate:
+        periods = np.flatnonzero(closes >= 2)
+        bound[periods] = truncation_bound(closes[periods] - 1, d)[0]
+    target = settings.target_rel_truncation * d.n_spans
+    values: List[float] = []
     i = 0
     while i < len(a):
         j = int(np.searchsorted(nodes_before, nodes_before[i] + BLOCK_NODES, side="right")) - 1
-        limit = reach()
-        if limit is not None:
-            j = min(j, int(np.searchsorted(b, limit, side="right")))
+        done = head + math.fsum(values)
+        if done > 0.0:
+            # the estimate never falls, so the body stops here at the latest
+            admissible = np.flatnonzero(bound[i:j] <= target * done)
+            if admissible.size:
+                j = i + int(admissible[0]) + 1
         j = max(j, i + 1)
-        values = _simpson_block(a[i:j], b[i:j], n_sub[i:j], f)
-        yield from zip(closes[i:j].tolist(), values.tolist())
+        block = _simpson_block(a[i:j], b[i:j], n_sub[i:j], f)
+        estimates = done + np.cumsum(block)
+        stops = np.flatnonzero((estimates > 0.0) & (bound[i:j] <= target * estimates))
+        if stops.size:
+            stop = i + int(stops[0])
+            values.extend(block[:stop - i + 1].tolist())
+            return math.fsum(values), len(values), int(closes[stop]) - 1, float(bound[stop])
+        values.extend(block.tolist())
         i = j
+    return math.fsum(values), len(values), None, 0.0
 
 
 def integrate_body(lower: float, upper: float, d: DerivedSpan,
@@ -374,14 +360,14 @@ def integrate_body(lower: float, upper: float, d: DerivedSpan,
         integrand = _default_integrand(d, settings.pole_window)
     elif lower < 0.0:
         raise ValueError("lower must be >= 0")
-    return panel_sum([v for _, v in _body_panels(lower, upper, d, settings, integrand)])
+    return _integrate_panels(lower, upper, d, settings, integrand)[0]
 
 
 # ---------------------------------------------------------------------------
-# tail bounds and truncation
+# tail bounds
 
 
-def truncation_bound(m: int, d: DerivedSpan) -> Tuple[float, float]:
+def truncation_bound(m, d: DerivedSpan):
     """Certified bounds on the discarded tail past mu = (m+1)*pi.
 
     Returns (tight, loose) with tight <= loose, both bounding
@@ -393,48 +379,26 @@ def truncation_bound(m: int, d: DerivedSpan) -> Tuple[float, float]:
     where Gamma and sigma are the worst-case span strength and the slowest
     decay rate from :func:`hybridgn.link.derive_span`.  A lossless segment
     gives sigma = 0, where the tight bound takes its limit, the loose one.
+
+    An int `m` gives two floats; an int array gives two arrays, each element
+    equal to the scalar call's.  Every m must satisfy the range checks.
     """
-    if m < 1:
+    m_arr = np.asarray(m)
+    if np.any(m_arr < 1):
         raise ValueError("m must be >= 1")
-    mu = (m + 1) * math.pi
-    if not mu < d.zeta_max:
+    if not np.all((m_arr + 1.0) * math.pi < d.zeta_max):
         raise ValueError("truncation point (m+1)*pi must lie below zeta_max")
     g2 = d.gamma_bound * d.gamma_bound
-    log_factor = math.log(d.zeta_max / (m * math.pi))
-    loose = g2 / (m * math.pi) * log_factor
+    m_pi = m_arr * math.pi
+    log_factor = np.log(d.zeta_max / m_pi)
+    loose = g2 / m_pi * log_factor
     if d.sigma == 0.0:  # atan(sigma/(m pi))/sigma -> 1/(m pi)
-        return loose, loose
-    tight = g2 / d.sigma * math.atan(d.sigma / (m * math.pi)) * log_factor
+        tight = loose
+    else:
+        tight = g2 / d.sigma * np.arctan(d.sigma / m_pi) * log_factor
+    if m_arr.ndim == 0:
+        return float(tight), float(loose)
     return tight, loose
-
-
-def choose_truncation(d: DerivedSpan, settings: QuadratureSettings,
-                      running_estimate: float) -> Optional[int]:
-    """Smallest m whose tight tail bound is below the relative target.
-
-    `running_estimate` is the integral accumulated so far (head + body, same
-    units as the integral); returns None when no admissible m exists, in
-    which case the body must run to zeta_max.  The tight bound falls as m
-    grows, so the search is a bisection over the admissible m.
-    """
-    if not running_estimate > 0.0:
-        return None
-    target = settings.target_rel_truncation * d.n_spans * running_estimate
-    hi = max(int(d.zeta_max / math.pi) - 1, 0)  # largest m with (m+1)*pi < zeta_max
-    while (hi + 2) * math.pi < d.zeta_max:
-        hi += 1
-    while hi >= 1 and not (hi + 1) * math.pi < d.zeta_max:
-        hi -= 1
-    if hi < 1 or truncation_bound(hi, d)[0] > target:
-        return None
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if truncation_bound(mid, d)[0] <= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -451,42 +415,16 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
     """
     delta = delta_rule(d.n_spans, d.zeta_max, settings)
     head = refined_singular_head(delta, d, settings)
-    target = settings.target_rel_truncation * d.n_spans
-    running = _RunningSum()
-
-    def reach() -> Optional[float]:
-        # the running estimate never falls, so the loop stops at this
-        # period at the latest
-        if not settings.truncation_enabled:
-            return None
-        m = choose_truncation(d, settings, head + running.value())
-        return None if m is None else (m + 1) * math.pi
-
-    values: List[float] = []
-    truncation_m: Optional[int] = None
-    tail_bound = 0.0
-    panels = _body_panels(delta, d.zeta_max, d, settings,
-                          _default_integrand(d, settings.pole_window), reach)
-    for k_end, value in panels:
-        values.append(value)
-        running.add(value)
-        if settings.truncation_enabled and k_end >= 2:
-            estimate = head + running.value()
-            if estimate > 0.0:
-                tight, _ = truncation_bound(k_end - 1, d)
-                if tight <= target * estimate:
-                    truncation_m = k_end - 1
-                    tail_bound = tight / d.n_spans
-                    break
-
-    body = panel_sum(values)
+    body, panels, truncation_m, tight = _integrate_panels(
+        delta, d.zeta_max, d, settings, _default_integrand(d, settings.pole_window),
+        head, settings.truncation_enabled)
     return IntegralReport(
         value=head + body,
         head=head,
         body=body,
-        tail_bound=tail_bound,
+        tail_bound=tight / d.n_spans,
         delta=delta,
-        panels_evaluated=len(values),
+        panels_evaluated=panels,
         truncation_m=truncation_m,
     )
 

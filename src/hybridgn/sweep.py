@@ -31,6 +31,8 @@ from .quadrature import QuadratureSettings
 __all__ = [
     "PowerSweepRow",
     "SplitSweepRow",
+    "MAX_POWER_ROWS",
+    "power_grid_dbm",
     "sweep_power",
     "sweep_split",
     "apply_mpi",
@@ -57,6 +59,27 @@ class SplitSweepRow:
     p_opt: float          # W
     osnr_opt: float       # linear
     q_opt_db: float
+
+
+#: Most launch powers one power grid may hold; a wider range or a finer step
+#: is refused before any point is built.
+MAX_POWER_ROWS = 100_000
+
+
+def power_grid_dbm(p_min_dbm: float, p_max_dbm: float, p_step_db: float) -> List[float]:
+    """Launch powers p_min + i*step in dBm, i = 0, 1, ..., up to p_max.
+
+    p_max is included when it lies within 1e-9 steps past the last point.
+    ValueError unless both bounds are finite with p_min <= p_max, the step is
+    finite and > 0, and the grid holds at most MAX_POWER_ROWS points.
+    """
+    if not (all(map(math.isfinite, (p_min_dbm, p_max_dbm, p_step_db)))
+            and p_step_db > 0 and p_min_dbm <= p_max_dbm):
+        raise ValueError("power grid needs finite p_min <= p_max and a finite positive step")
+    steps = (p_max_dbm - p_min_dbm) / p_step_db + 1e-9  # inf when the range overflows
+    if not steps < MAX_POWER_ROWS:
+        raise ValueError(f"power grid would hold more than {MAX_POWER_ROWS} points")
+    return [p_min_dbm + i * p_step_db for i in range(int(steps) + 1)]
 
 
 def sweep_power(

@@ -4,6 +4,7 @@ and strategies for randomly generated spans."""
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from hybridgn import (
     derive_span,
     fwm_efficiency,
 )
+from hybridgn.kernel import _quotient
 from hybridgn.quadrature import _fejer_log_moment
 from hybridgn.units import (
     attenuation_db_per_km_to_np_per_m,
@@ -93,6 +95,19 @@ def singular_head(delta: float, d) -> float:
         math.log(d.zeta_max / delta) * fejer_running_integral(delta, n)
         + _fejer_log_moment(delta, n)
     )
+
+
+def complex_effective_length(x, length):
+    """Effective interaction length length * (1 - exp(-x)) / x.
+
+    `x` is the complex per-segment exponent (twice attenuation plus phase
+    rotation over the segment); near x = 0 the quotient is evaluated by its
+    Taylor series to avoid cancellation.  Accepts scalars or arrays.  The
+    kernel's textbook form, kept as a test oracle for `fwm_efficiency`.
+    """
+    x_arr = np.atleast_1d(np.asarray(x, dtype=complex))
+    out = length * _quotient(x_arr, np.exp(-x_arr))
+    return complex(out[0]) if np.ndim(x) == 0 else out
 
 
 def split_segments(span: SpanPlan, parts: int) -> SpanPlan:

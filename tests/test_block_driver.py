@@ -132,40 +132,51 @@ def test_block_driver_matches_reference_without_truncation():
     assert ours.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
 
 
+def _first_admissible_m(d, settings, running):
+    """Linear scan for the smallest m whose tight bound meets the target."""
+    target = settings.target_rel_truncation * d.n_spans * running
+    m = 1
+    while (m + 1) * math.pi < d.zeta_max:
+        if truncation_bound(m, d)[0] <= target:
+            return m
+        m += 1
+    return None
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
     """Every block ends at or before the latest period at which the loop can
-    stop, as certified by choose_truncation just before the block; only the
-    block holding the stop may reach past the truncation period."""
+    stop, as certified by the estimate just before the block; only the block
+    holding the stop may reach past the truncation period."""
     d = CASES[case]()
     settings = QuadratureSettings()
-    events = []
-    real_xi, real_choose = quadrature.xi, quadrature.choose_truncation
+    tops = []
+    real_xi = quadrature.xi
 
     def recording_xi(zeta, *args, **kwargs):
-        events.append(("xi", float(np.max(zeta))))
+        tops.append(float(np.max(zeta)))
         return real_xi(zeta, *args, **kwargs)
 
-    def recording_choose(*args, **kwargs):
-        m = real_choose(*args, **kwargs)
-        events.append(("cap", m))
-        return m
-
     monkeypatch.setattr(quadrature, "xi", recording_xi)
-    monkeypatch.setattr(quadrature, "choose_truncation", recording_choose)
     rep = log_weighted_integral(d, settings)
     stop = (rep.truncation_m + 1) * math.pi
 
-    body = events[1:]  # the first kernel call is the head
-    caps, blocks = body[0::2], body[1::2]
-    # the driver consults the cap before every block
-    assert blocks and len(caps) == len(blocks)
-    assert all(c[0] == "cap" for c in caps) and all(b[0] == "xi" for b in blocks)
-    assert caps[-1][1] is not None
-    for (_, cap), (_, top) in zip(caps, blocks):
+    blocks = tops[1:]  # the first kernel call is the head
+    assert blocks and rep.truncation_m is not None
+    # the top node of a block is the end of its last panel
+    ends = _pi_panels(rep.delta, d.zeta_max)[1]
+    last_panel = np.searchsorted(ends, blocks)
+    assert np.array_equal(ends[last_panel], blocks)
+    # the stop lies in the last block
+    first_panel = np.concatenate(([0], last_panel[:-1] + 1))
+    assert first_panel[-1] < rep.panels_evaluated <= last_panel[-1] + 1
+    ref = [v for _, v in reference_panels(rep.delta, d.zeta_max, d, settings)]
+    for top, first in zip(blocks, first_panel):
+        cap = _first_admissible_m(d, settings, rep.head + math.fsum(ref[:first]))
         if cap is not None:
             assert top <= (cap + 1) * math.pi
-    assert all(top <= stop for _, top in blocks[:-1])
+    assert cap is not None  # the last block is capped
+    assert all(top <= stop for top in blocks[:-1])
 
 
 def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +116,17 @@ def test_overflowing_epsilon_in_config_is_a_config_error(tmp_path):
     assert b"config error" in res.stderr and b"epsilon" in res.stderr
 
 
+def test_integer_too_large_for_a_float_in_config_is_a_config_error(tmp_path):
+    raw = json.loads(Path(TOY_CFG).read_text())
+    raw["span"][0]["length_km"] = 10 ** 400
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(raw))
+    res = run_cli("gamma", "--config", str(p))
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert b"config error" in res.stderr
+
+
 def test_gamma_non_finite_result_is_a_numerical_error(monkeypatch, capsys):
     real = cli.nl_coefficient_with_report
 
@@ -155,6 +168,28 @@ def test_sweep_power_grid_validation():
     res = run_cli("sweep-power", "--config", ATLANTIC_CFG,
                   "--p-min-dbm", "5", "--p-max-dbm", "-5")
     assert res.returncode == 2
+
+
+def _cap_address_space():
+    # A grid that is never bounded grows until memory runs out; cap it so
+    # that such a run fails fast instead.
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("args", [
+    ["--p-min-dbm=-1e15", "--p-max-dbm", "1e15"],
+    ["--p-min-dbm=-1e308", "--p-max-dbm", "1e308"],
+    ["--p-min-dbm", "0", "--p-max-dbm", "1", "--p-step-db", "1e-9"],
+], ids=["wide-range", "overflowing-range", "fine-step"])
+def test_sweep_power_grid_over_the_row_cap_is_a_config_error(args):
+    res = subprocess.run([sys.executable, "-m", "hybridgn", "sweep-power",
+                          "--config", TOY_CFG, *args],
+                         capture_output=True, timeout=60,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                         preexec_fn=_cap_address_space)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == b""
+    assert b"config error" in res.stderr and b"more than" in res.stderr
 
 
 def test_sweep_split_csv():

@@ -255,6 +255,18 @@ def test_load_config_rejects_overflowing_numbers(tmp_path):
         load_config(str(p))
 
 
+@pytest.mark.parametrize("key", ["length_km", "attenuation_db_per_km",
+                                 "beta2_ps2_per_km", "gamma_per_w_km"])
+def test_load_config_rejects_an_integer_too_large_for_a_float(tmp_path, key):
+    # a JSON integer has no size limit; it overflows only when converted
+    raw = _minimal()
+    raw["span"][0][key] = 10 ** 400
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match="too large"):
+        load_config(str(p))
+
+
 def test_load_config_rejects_overflowing_epsilon(tmp_path):
     raw = _minimal()
     raw["variant"] = {"kind": "span_scaled", "epsilon": 0.1}

@@ -7,14 +7,13 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from hybridgn import (
     SpanPlan,
-    complex_effective_length,
     derive_span,
     fwm_efficiency,
     phased_array,
     xi,
 )
 from hybridgn.kernel import DEFAULT_POLE_WINDOW, SERIES_SWITCH
-from conftest import ATLANTIC, QSMF, SMF, span_plans, split_segments
+from conftest import ATLANTIC, QSMF, SMF, complex_effective_length, span_plans, split_segments
 
 
 def _efficiency_by_cumulative_exponent(zeta, d):

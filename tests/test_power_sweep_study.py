@@ -90,7 +90,10 @@ def _cap_address_space():
     ["--p-step-db", "-0.5"],
     ["--p-max-dbm", "inf"],
     ["--p-min-dbm=-inf"],
-], ids=["step-zero", "step-negative", "p-max-inf", "p-min-minus-inf"])
+    ["--p-min-dbm=-1e20"],
+    ["--p-min-dbm=-1e15", "--p-max-dbm", "1e15"],
+], ids=["step-zero", "step-negative", "p-max-inf", "p-min-minus-inf", "p-min-huge",
+        "range-huge"])
 def test_study_rejects_a_grid_that_never_ends(tmp_path, argv):
     out = tmp_path / "never.csv"
     res = subprocess.run([sys.executable, str(SCRIPT), *argv, "-o", str(out)],

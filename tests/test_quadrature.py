@@ -3,20 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from hybridgn import (
     QuadratureSettings,
     SpanPlan,
     brute_force_gamma_integral,
-    choose_truncation,
     delta_rule,
     derive_span,
     fwm_efficiency,
     integrate_body,
     log_weighted_integral,
-    panel_sum,
     refined_singular_head,
     truncation_bound,
     xi,
@@ -236,14 +234,6 @@ def test_body_input_validation(d_atlantic, settings):
         integrate_body(-1.0, 1.0, d_atlantic, settings, integrand=np.sin)
 
 
-@given(st.lists(st.floats(-1e12, 1e12, allow_nan=False), min_size=2, max_size=30),
-       st.randoms())
-def test_panel_sum_is_permutation_invariant(values, rnd):
-    shuffled = list(values)
-    rnd.shuffle(shuffled)
-    assert panel_sum(shuffled) == panel_sum(values)
-
-
 # ---------------------------------------------------------------------------
 # tail bounds
 
@@ -301,43 +291,40 @@ def test_lossless_segment_takes_the_tight_bound_limit():
     faint_tight, faint_loose = truncation_bound(20, faint)
     assert faint_tight <= faint_loose
     assert faint_tight == pytest.approx(tight, rel=1e-6)
-    m = choose_truncation(d, QuadratureSettings(), 60.0)
-    assert m is not None
-    assert truncation_bound(m, d)[0] <= 1e-4 * d.n_spans * 60.0
     rep = log_weighted_integral(d, QuadratureSettings())
     assert math.isfinite(rep.value) and rep.value > 0.0
     assert rep.truncation_m is not None
+    assert rep.tail_bound == truncation_bound(rep.truncation_m, d)[0] / d.n_spans
     assert 0.0 < rep.tail_bound < 1e-4 * rep.value
 
 
-def _first_admissible_m(d, settings, running):
-    """Linear scan for the smallest m whose tight bound meets the target."""
-    target = settings.target_rel_truncation * d.n_spans * running
-    m = 1
-    while (m + 1) * math.pi < d.zeta_max:
-        if truncation_bound(m, d)[0] <= target:
-            return m
-        m += 1
-    return None
+def test_tail_bound_array_matches_scalar_calls(d_atlantic, d_toy):
+    ms = np.arange(1, 340)
+    tight, loose = truncation_bound(ms, d_atlantic)
+    assert tight.shape == loose.shape == ms.shape
+    for m, t, l in zip(ms.tolist(), tight.tolist(), loose.tolist()):
+        assert (t, l) == truncation_bound(m, d_atlantic)
+    lossless = derive_span(SpanPlan((replace(QSMF, attenuation=0.0), SMF)), ATLANTIC)
+    tight, loose = truncation_bound(ms, lossless)
+    assert [(t, l) for t, l in zip(tight.tolist(), loose.tolist())] == \
+        [truncation_bound(m, lossless) for m in ms.tolist()]
+    with pytest.raises(ValueError):
+        truncation_bound(np.array([0, 5]), d_atlantic)
+    with pytest.raises(ValueError):
+        truncation_bound(np.array([5, 400]), d_atlantic)  # (m+1) pi beyond zeta_max
+    with pytest.raises(ValueError):
+        truncation_bound(np.array([1, 2]), d_toy)  # toy range is shorter than 2 pi
 
 
-@given(st.floats(-2.0, 2.0), st.floats(1e-7, 1.0))
-@hsettings(max_examples=60, deadline=None)
-def test_choose_truncation_bisection_matches_linear_scan(d_atlantic, log_scale, rel):
-    running = 63.1 * 10.0 ** log_scale
-    settings = QuadratureSettings(target_rel_truncation=rel)
-    assert choose_truncation(d_atlantic, settings, running) == \
-        _first_admissible_m(d_atlantic, settings, running)
-
-
-def test_choose_truncation_pins(d_atlantic, d_toy, settings):
-    assert choose_truncation(d_atlantic, settings, 63.11437952727999) == 262
-    assert choose_truncation(
-        d_atlantic, replace(settings, target_rel_truncation=1.0), 63.1) == 1
-    assert choose_truncation(
-        d_atlantic, replace(settings, target_rel_truncation=1e-12), 63.1) is None
-    assert choose_truncation(d_toy, settings, 3.0) is None
-    assert choose_truncation(d_atlantic, settings, 0.0) is None
+def test_driver_truncation_pins(d_atlantic, d_toy, settings):
+    assert log_weighted_integral(d_atlantic, settings).truncation_m == 262
+    assert log_weighted_integral(d_toy, settings).truncation_m is None
+    strict = replace(settings, target_rel_truncation=1e-12)
+    assert log_weighted_integral(d_atlantic, strict).truncation_m is None
+    loose = replace(settings, target_rel_truncation=1.0)
+    rep = log_weighted_integral(d_atlantic, loose)
+    assert rep.truncation_m is not None and rep.truncation_m <= 5
+    assert truncation_bound(rep.truncation_m, d_atlantic)[0] <= d_atlantic.n_spans * rep.value
 
 
 # ---------------------------------------------------------------------------

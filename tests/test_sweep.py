@@ -17,13 +17,30 @@ from hybridgn import (
     sweep_power,
     sweep_split,
 )
-from hybridgn.sweep import apply_mpi, span_with_split, split_step_count
+from hybridgn.sweep import (
+    MAX_POWER_ROWS,
+    apply_mpi,
+    power_grid_dbm,
+    span_with_split,
+    split_step_count,
+)
 from hybridgn.units import dbm_to_watt, watt_to_dbm
 from conftest import ATLANTIC, QSMF, SMF
 
 
 # ---------------------------------------------------------------------------
 # power sweep
+
+
+def test_power_grid_is_built_by_index_up_to_the_row_cap():
+    assert power_grid_dbm(-1.0, 1.0, 0.5) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert power_grid_dbm(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 3 * 0.1]
+    assert power_grid_dbm(2.0, 2.0, 1.0) == [2.0]
+    assert len(power_grid_dbm(0.0, MAX_POWER_ROWS - 1.0, 1.0)) == MAX_POWER_ROWS
+    with pytest.raises(ValueError, match="more than"):
+        power_grid_dbm(0.0, float(MAX_POWER_ROWS), 1.0)
+    with pytest.raises(ValueError):
+        power_grid_dbm(1.0, -1.0, 0.5)
 
 
 def test_power_sweep_rows_match_direct_evaluation(hybrid_span, settings):
