@@ -171,7 +171,7 @@ def cmd_check(cfg: AppConfig, grid_n: int, tolerance: float) -> Tuple[str, int]:
     d = derive_span(cfg.span, small)
     rep = log_weighted_integral(d, cfg.settings)
     gamma_1d = d.kappa * rep.value
-    quadrant = brute_force_gamma_integral(d, grid_n, pole_window=cfg.settings.pole_window)
+    quadrant = brute_force_gamma_integral(d, grid_n)
     gamma_2d = (64.0 / 27.0) * (small.span_count ** 2 * small.osnr_bw
                                 / small.symbol_rate ** 3) * quadrant
     rel_dev = abs(gamma_2d / gamma_1d - 1.0) if gamma_1d != 0 else math.inf

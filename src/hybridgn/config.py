@@ -61,8 +61,7 @@ _CONFIG = _Object({
                        "wavelength_nm")),
     "quadrature": _Object({"delta_safety": "number", "nodes_per_oscillation": "integer",
                            "target_rel_truncation": "number",
-                           "truncation_enabled": "boolean", "pole_window": "number",
-                           "workers": "integer"}),
+                           "truncation_enabled": "boolean", "workers": "integer"}),
     "output": _Object({"format": ("csv", "json"), "path": "string"}),
     "variant": _Object({"kind": ("coherent", "span_scaled"), "epsilon": "number"},
                        ("kind",)),

@@ -20,7 +20,6 @@ from .link import DerivedSpan
 
 __all__ = [
     "SERIES_SWITCH",
-    "DEFAULT_POLE_WINDOW",
     "fwm_efficiency",
     "phased_array",
     "xi",
@@ -28,10 +27,6 @@ __all__ = [
 
 #: Below this |x| the expm1-style quotient loses digits; switch to the series.
 SERIES_SWITCH = 1e-4
-
-#: Half-width of the window around multiples of pi where the sin-ratio form
-#: of the phased-array factor is replaced by its cosine-sum form.
-DEFAULT_POLE_WINDOW = 1e-6
 
 
 def _quotient(x: np.ndarray, e: np.ndarray, may_be_small: bool = True) -> np.ndarray:
@@ -88,43 +83,32 @@ def fwm_efficiency(zeta, d: DerivedSpan):
     return float(eta[0]) if scalar else eta
 
 
-def _fejer_form(zeta: np.ndarray, n_spans: int) -> np.ndarray:
-    """Cosine-sum form of the phased-array factor, finite at the poles."""
-    if n_spans == 1:
-        return np.ones_like(zeta)
-    j = np.arange(1, n_spans)
-    weights = 2.0 * (1.0 - j / n_spans)
-    acc = 1.0 + np.cos(2.0 * np.outer(zeta, j)) @ weights
-    return acc / n_spans
-
-
-def phased_array(zeta, n_spans: int, pole_window: float = DEFAULT_POLE_WINDOW):
+def phased_array(zeta, n_spans: int):
     """Coherence factor phi(zeta) = sin^2(N zeta) / (N^2 sin^2 zeta).
 
     phi is pi-periodic, peaks at 1 on multiples of pi and averages 1/N
-    elsewhere.  Within `pole_window` of a pole of the quotient the
-    equivalent cosine-sum (Fejer kernel) form is used.  Output is clamped
-    to [0, 1] to absorb sub-eps overshoot of the trigonometric sums.
+    elsewhere.  The ratio is taken on t = zeta - k*pi, the offset from the
+    nearest pole, where sin t carries full relative precision; only t = 0
+    itself (0/0) takes the limit 1.  Output is capped at 1 to absorb
+    sub-eps overshoot.
     """
     if n_spans < 1:
         raise ValueError("n_spans must be >= 1")
     z = np.asarray(zeta, dtype=float)
     scalar = z.ndim == 0
-    z1 = np.atleast_1d(z).astype(float).ravel()
+    z1 = np.atleast_1d(z).ravel()
 
     if n_spans == 1:
         phi = np.ones_like(z1)
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.sin(n_spans * z1) / np.sin(z1)
-        phi = (s * s) / (n_spans * n_spans)
-        near = np.abs(z1 - np.pi * np.round(z1 / np.pi)) < pole_window
-        if np.any(near):
-            phi[near] = _fejer_form(z1[near], n_spans)
-    phi = np.clip(phi, 0.0, 1.0).reshape(np.atleast_1d(z).shape)
+        t = z1 - np.pi * np.round(z1 / np.pi)
+        den = n_spans * np.sin(t)
+        ratio = np.divide(np.sin(n_spans * t), den, out=np.ones_like(t), where=den != 0.0)
+        phi = np.minimum(ratio * ratio, 1.0)
+    phi = phi.reshape(np.atleast_1d(z).shape)
     return float(phi[0]) if scalar else phi
 
 
-def xi(zeta, d: DerivedSpan, pole_window: float = DEFAULT_POLE_WINDOW):
+def xi(zeta, d: DerivedSpan):
     """Full integrand factor xi = phi * eta, in 1/W^2."""
-    return phased_array(zeta, d.n_spans, pole_window) * fwm_efficiency(zeta, d)
+    return phased_array(zeta, d.n_spans) * fwm_efficiency(zeta, d)

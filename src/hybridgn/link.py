@@ -130,7 +130,9 @@ class SystemConfig:
     mpi_compensation: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite("system", symbol_rate=self.symbol_rate,
+        # an int too large for a float raises OverflowError here
+        _require_finite("system", span_count=self.span_count,
+                        channel_count=self.channel_count, symbol_rate=self.symbol_rate,
                         noise_figure_db=self.noise_figure_db, wavelength=self.wavelength,
                         mpi_coeff=self.mpi_coeff, mpi_compensation=self.mpi_compensation)
         if self.resolution_bw is not None:
@@ -175,7 +177,7 @@ class DerivedSpan:
     nu : ndarray
         Per-segment field attenuation nu_k = a_k l_k / 2 (dimensionless).
     lam : ndarray
-        Per-segment dispersion weights lam_k = |beta2_k| l_k / (|beta2_avg| l_span);
+        Per-segment dispersion weights lam_k = |beta2_k| l_k / |sum_j beta2_j l_j|;
         they sum to 1.
     sigma_k : ndarray
         Dispersion-adjusted attenuations nu_k / lam_k.
@@ -184,10 +186,9 @@ class DerivedSpan:
     gamma_bound : float
         Worst-case span nonlinear strength in 1/W; together with sigma it
         bounds the FWM efficiency by gamma_bound^2 / (sigma^2 + zeta^2).
-    beta2_avg : float
-        Length-weighted average dispersion in s^2/m (signed).
-    f_phase, f_phase_k : float, ndarray
-        Phased-array bandwidth of the span average and of each segment, Hz.
+    f_phase : float
+        Phased-array bandwidth of the span's length-weighted average
+        dispersion, Hz.
     b0 : float
         Total optical bandwidth channel_count * symbol_rate, Hz.
     zeta_max : float
@@ -209,18 +210,12 @@ class DerivedSpan:
     sigma_k: np.ndarray
     sigma: float
     gamma_bound: float
-    beta2_avg: float
     f_phase: float
-    f_phase_k: np.ndarray
     b0: float
     zeta_max: float
     kappa: float
     n_panels: int
     n_spans: int
-
-    @property
-    def span_length(self) -> float:
-        return float(np.sum(self.lengths))
 
 
 def derive_span(span: SpanPlan, sys: SystemConfig) -> DerivedSpan:
@@ -246,7 +241,6 @@ def derive_span(span: SpanPlan, sys: SystemConfig) -> DerivedSpan:
         raise ValueError("zero average dispersion is unsupported")
 
     f_phase = 1.0 / (2.0 * math.pi * math.sqrt(abs(beta2_avg) * l_span))
-    f_phase_k = 1.0 / (2.0 * math.pi * np.sqrt(np.abs(b2l)))
 
     nu = atten * lengths / 2.0
     lam = np.abs(b2l) / abs(float(np.sum(b2l)))
@@ -275,9 +269,7 @@ def derive_span(span: SpanPlan, sys: SystemConfig) -> DerivedSpan:
         sigma_k=_readonly(sigma_k),
         sigma=sigma,
         gamma_bound=gamma_bound,
-        beta2_avg=beta2_avg,
         f_phase=f_phase,
-        f_phase_k=_readonly(f_phase_k),
         b0=b0,
         zeta_max=zeta_max,
         kappa=kappa,

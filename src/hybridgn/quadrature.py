@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import DEFAULT_POLE_WINDOW, fwm_efficiency, xi
+from .kernel import fwm_efficiency, xi
 from .link import DerivedSpan
 
 __all__ = [
@@ -63,8 +63,6 @@ class QuadratureSettings:
         Relative tail tolerance epsilon_r for adaptive truncation.
     truncation_enabled : bool
         When False the body always runs to zeta_max.
-    pole_window : float
-        Passed through to the phased-array factor.
     workers : int
         Accepted and validated, but the integral no longer uses threads:
         the body is evaluated serially in blocks, so any value gives the
@@ -75,18 +73,15 @@ class QuadratureSettings:
     nodes_per_oscillation: int = 16
     target_rel_truncation: float = 1e-4
     truncation_enabled: bool = True
-    pole_window: float = DEFAULT_POLE_WINDOW
     workers: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta_safety <= 1.0:
             raise ValueError("delta_safety must lie in (0, 1]")
-        if self.nodes_per_oscillation < 2:
+        if float(self.nodes_per_oscillation) < 2:  # OverflowError past a float
             raise ValueError("nodes_per_oscillation must be >= 2")
         if not self.target_rel_truncation > 0.0:
             raise ValueError("target_rel_truncation must be > 0")
-        if not self.pole_window > 0.0:
-            raise ValueError("pole_window must be > 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -203,7 +198,7 @@ def refined_singular_head(delta: float, d: DerivedSpan,
     spacing = math.pi / (d.n_spans * settings.nodes_per_oscillation)
     n_sub = max(16, 2 * int(math.ceil(delta / spacing / 2.0)))
     nodes = np.linspace(0.0, delta, n_sub + 1)
-    mass = _simpson(xi(nodes, d, settings.pole_window), delta / n_sub)
+    mass = _simpson(xi(nodes, d), delta / n_sub)
     eta0 = fwm_efficiency(0.0, d)
     return math.log(d.zeta_max / delta) * mass \
         + (eta0 / d.n_spans) * _fejer_log_moment(delta, d.n_spans)
@@ -265,9 +260,9 @@ def _pi_panels(lower: float, upper: float) -> Tuple[np.ndarray, np.ndarray, np.n
     return starts, ends, closes
 
 
-def _default_integrand(d: DerivedSpan, pole_window: float) -> Callable[[np.ndarray], np.ndarray]:
+def _default_integrand(d: DerivedSpan) -> Callable[[np.ndarray], np.ndarray]:
     def f(z: np.ndarray) -> np.ndarray:
-        return np.log(d.zeta_max / z) * xi(z, d, pole_window)
+        return np.log(d.zeta_max / z) * xi(z, d)
     return f
 
 
@@ -357,7 +352,7 @@ def integrate_body(lower: float, upper: float, d: DerivedSpan,
     if integrand is None:
         if not lower > 0.0:
             raise ValueError("the log-weighted integrand needs lower > 0")
-        integrand = _default_integrand(d, settings.pole_window)
+        integrand = _default_integrand(d)
     elif lower < 0.0:
         raise ValueError("lower must be >= 0")
     return _integrate_panels(lower, upper, d, settings, integrand)[0]
@@ -416,7 +411,7 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
     delta = delta_rule(d.n_spans, d.zeta_max, settings)
     head = refined_singular_head(delta, d, settings)
     body, panels, truncation_m, tight = _integrate_panels(
-        delta, d.zeta_max, d, settings, _default_integrand(d, settings.pole_window),
+        delta, d.zeta_max, d, settings, _default_integrand(d),
         head, settings.truncation_enabled)
     return IntegralReport(
         value=head + body,
@@ -433,8 +428,7 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
 
 
 def brute_force_gamma_integral(d: DerivedSpan, grid_n: int,
-                               integrand: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                               pole_window: float = DEFAULT_POLE_WINDOW) -> float:
+                               integrand: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
     """First-quadrant 2-D Simpson integral of xi(f1 f2 / (2 f_phase^2)).
 
     Integrates over [0, b0/2] x [0, b0/2] with grid_n subintervals per axis
@@ -445,7 +439,7 @@ def brute_force_gamma_integral(d: DerivedSpan, grid_n: int,
     if grid_n < 2 or grid_n % 2:
         raise ValueError("grid_n must be even and >= 2")
     if integrand is None:
-        integrand = lambda z: xi(z, d, pole_window)
+        integrand = lambda z: xi(z, d)
     half = d.b0 / 2.0
     f = np.linspace(0.0, half, grid_n + 1)
     w = np.ones(grid_n + 1)

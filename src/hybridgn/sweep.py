@@ -27,6 +27,7 @@ from .engine import (
 )
 from .link import FiberSegment, SpanPlan, SystemConfig
 from .quadrature import QuadratureSettings
+from .units import dbm_to_watt
 
 __all__ = [
     "PowerSweepRow",
@@ -71,7 +72,8 @@ def power_grid_dbm(p_min_dbm: float, p_max_dbm: float, p_step_db: float) -> List
 
     p_max is included when it lies within 1e-9 steps past the last point.
     ValueError unless both bounds are finite with p_min <= p_max, the step is
-    finite and > 0, and the grid holds at most MAX_POWER_ROWS points.
+    finite and > 0, the grid holds at most MAX_POWER_ROWS points, and both
+    end points convert to a finite power > 0 W.
     """
     if not (all(map(math.isfinite, (p_min_dbm, p_max_dbm, p_step_db)))
             and p_step_db > 0 and p_min_dbm <= p_max_dbm):
@@ -79,7 +81,14 @@ def power_grid_dbm(p_min_dbm: float, p_max_dbm: float, p_step_db: float) -> List
     steps = (p_max_dbm - p_min_dbm) / p_step_db + 1e-9  # inf when the range overflows
     if not steps < MAX_POWER_ROWS:
         raise ValueError(f"power grid would hold more than {MAX_POWER_ROWS} points")
-    return [p_min_dbm + i * p_step_db for i in range(int(steps) + 1)]
+    grid = [p_min_dbm + i * p_step_db for i in range(int(steps) + 1)]
+    try:  # 10**(p/10) raises OverflowError, or underflows to 0
+        in_range = dbm_to_watt(grid[0]) > 0.0 and math.isfinite(dbm_to_watt(grid[-1]))
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValueError("launch powers must convert to a finite power > 0 W")
+    return grid
 
 
 def sweep_power(

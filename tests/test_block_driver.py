@@ -59,7 +59,7 @@ def reference_panels(lower, upper, d, settings):
         w = np.ones(n_sub + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        f = np.log(d.zeta_max / nodes) * xi(nodes, d, settings.pole_window)
+        f = np.log(d.zeta_max / nodes) * xi(nodes, d)
         yield int(k_end), math.fsum((w * f).tolist()) * ((b - a) / n_sub) / 3.0
 
 

@@ -117,14 +117,16 @@ def test_overflowing_epsilon_in_config_is_a_config_error(tmp_path):
 
 
 def test_integer_too_large_for_a_float_in_config_is_a_config_error(tmp_path):
-    raw = json.loads(Path(TOY_CFG).read_text())
-    raw["span"][0]["length_km"] = 10 ** 400
-    p = tmp_path / "huge.json"
-    p.write_text(json.dumps(raw))
-    res = run_cli("gamma", "--config", str(p))
-    assert res.returncode == 2
-    assert res.stdout == b""
-    assert b"config error" in res.stderr
+    for block, key in (("span", "length_km"), ("system", "spans")):
+        raw = json.loads(Path(TOY_CFG).read_text())
+        target = raw["span"][0] if block == "span" else raw[block]
+        target[key] = 10 ** 400
+        p = tmp_path / f"huge_{key}.json"
+        p.write_text(json.dumps(raw))
+        res = run_cli("gamma", "--config", str(p))
+        assert res.returncode == 2, key
+        assert res.stdout == b""
+        assert b"config error" in res.stderr
 
 
 def test_gamma_non_finite_result_is_a_numerical_error(monkeypatch, capsys):
@@ -319,8 +321,13 @@ def test_non_integral_count_in_config_is_a_config_error(tmp_path, command, block
     ["sweep-power", "--config", TOY_CFG, "--p-min-dbm=-inf"],
     ["sweep-power", "--config", TOY_CFG, "--p-max-dbm", "inf"],
     ["gamma", "--config", TOY_CFG, "--workers", "0"],
+    # 10**(p/10) mW overflows a float, or underflows to 0 W
+    ["sweep-power", "--config", TOY_CFG, "--p-min-dbm", "3000", "--p-max-dbm", "3100",
+     "--p-step-db", "50"],
+    ["sweep-power", "--config", TOY_CFG, "--p-min-dbm=-4000", "--p-max-dbm=-3990",
+     "--p-step-db", "5"],
 ], ids=["grid-odd", "grid-zero", "tolerance-nan", "p-min-nan", "p-min-minus-inf",
-        "p-max-inf", "workers-zero"])
+        "p-max-inf", "workers-zero", "power-overflow", "power-underflow"])
 def test_bad_numeric_argument_is_an_argument_error(args):
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr

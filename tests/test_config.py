@@ -113,8 +113,7 @@ _NUMBER_KEYS = [
     ("system", "symbol_rate_gbd"), ("system", "noise_figure_db"),
     ("system", "wavelength_nm"), ("system", "mpi_coeff_per_w"),
     ("system", "mpi_compensation"), ("quadrature", "delta_safety"),
-    ("quadrature", "target_rel_truncation"), ("quadrature", "pole_window"),
-    ("variant", "epsilon"),
+    ("quadrature", "target_rel_truncation"), ("variant", "epsilon"),
 ]
 _INTEGER_KEYS = [("system", "spans"), ("system", "channels"),
                  ("quadrature", "nodes_per_oscillation"), ("quadrature", "workers")]
@@ -141,6 +140,7 @@ def _case(path, value, tag):
     # unknown keys, per block
     *[_case((*block, "extra"), 1, "unknown") for block in
       [(), ("span", 0), ("system",), ("quadrature",), ("output",), ("variant",)]],
+    _case(("quadrature", "pole_window"), 1e-6, "unknown"),
     # missing required keys, per block
     *[_case(key, _DELETE, "missing") for key in [
         ("span",), ("system",), ("span", 0, "name"), ("span", 0, "length_km"),
@@ -188,8 +188,6 @@ def test_wrong_type_rejected(path, value):
     _case(("quadrature", "delta_safety"), 1.5, "1.5"),
     _case(("quadrature", "target_rel_truncation"), 0.0, "0"),
     _case(("quadrature", "target_rel_truncation"), -1e-4, "-1e-4"),
-    _case(("quadrature", "pole_window"), 0.0, "0"),
-    _case(("quadrature", "pole_window"), -1e-6, "-1e-6"),
     _case(("quadrature", "workers"), 0, "0"),
 ])
 def test_schema_bounds_enforced(path, value):
@@ -255,12 +253,14 @@ def test_load_config_rejects_overflowing_numbers(tmp_path):
         load_config(str(p))
 
 
-@pytest.mark.parametrize("key", ["length_km", "attenuation_db_per_km",
-                                 "beta2_ps2_per_km", "gamma_per_w_km"])
-def test_load_config_rejects_an_integer_too_large_for_a_float(tmp_path, key):
+@pytest.mark.parametrize("path", [
+    *[("span", 0, key) for key in ("length_km", "attenuation_db_per_km",
+                                   "beta2_ps2_per_km", "gamma_per_w_km")],
+    ("system", "spans"), ("system", "channels"), ("quadrature", "nodes_per_oscillation"),
+], ids=lambda path: path[-1])
+def test_load_config_rejects_an_integer_too_large_for_a_float(tmp_path, path):
     # a JSON integer has no size limit; it overflows only when converted
-    raw = _minimal()
-    raw["span"][0][key] = 10 ** 400
+    raw = _edited(path, 10 ** 400)
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match="too large"):

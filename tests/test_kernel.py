@@ -12,7 +12,7 @@ from hybridgn import (
     phased_array,
     xi,
 )
-from hybridgn.kernel import DEFAULT_POLE_WINDOW, SERIES_SWITCH
+from hybridgn.kernel import SERIES_SWITCH
 from conftest import ATLANTIC, QSMF, SMF, complex_effective_length, span_plans, split_segments
 
 
@@ -227,21 +227,18 @@ def test_phased_array_matches_cosine_form_everywhere():
         assert np.max(np.abs(phased_array(z, n) - _cosine_form(z, n))) < 1e-10
 
 
-def test_phased_array_pole_window_is_seamless():
-    """The branch switch at distance pole_window from a pole must not leave
-    a jump: both branches are compared against the cosine form.  Outside the
-    window the sin-ratio form itself limits the accuracy: the float argument
-    m*pi + dist carries ~m*ulp(pi) of error, which sin amplifies by 1/dist,
-    so the comparison there is held to 1e-8 rather than 1e-9."""
-    n = 60
-    w = DEFAULT_POLE_WINDOW
-    for m in (1, 2, 3):
-        for dist in (0.3 * w, 0.9 * w, 1.1 * w, 3.0 * w):
-            for s in (-1.0, 1.0):
-                z = m * math.pi + s * dist
-                ref = float(_cosine_form(z, n)[0])
-                tol = 1e-9 if dist < w else 1e-8
-                assert phased_array(z, n) == pytest.approx(ref, abs=tol)
+def test_phased_array_keeps_its_digits_next_to_a_pole():
+    """Within and just past 1e-6 of a pole m*pi the float argument carries
+    ~m*ulp(pi) of error, which a sin ratio on the raw zeta amplifies by
+    1/offset; reducing to the offset from the nearest pole keeps phi within
+    1e-11 of the cosine form on both sides of the pole."""
+    for n in (60, 200):
+        for m in (1, 2, 3, 100):
+            for dist in (1e-12, 3e-7, 9e-7, 1.1e-6, 3e-6, 1e-4, 1e-2):
+                for s in (-1.0, 1.0):
+                    z = m * math.pi + s * dist
+                    ref = float(_cosine_form(z, n)[0])
+                    assert phased_array(z, n) == pytest.approx(ref, abs=1e-11)
 
 
 def test_phased_array_periodicity():

@@ -67,7 +67,10 @@ def test_study_q_columns_equal_sweep_power(tmp_path):
     ["--p-max-dbm", "nan"],
     ["--p-step-db", "nan"],
     ["--p-step-db", "inf"],
-], ids=["p-min-nan", "p-max-nan", "step-nan", "step-inf"])
+    ["--p-min-dbm", "3000", "--p-max-dbm", "3100", "--p-step-db", "50"],
+    ["--p-min-dbm=-4000", "--p-max-dbm=-3990", "--p-step-db", "5"],
+], ids=["p-min-nan", "p-max-nan", "step-nan", "step-inf", "power-overflow",
+        "power-underflow"])
 def test_study_rejects_bad_arguments_before_any_integral(tmp_path, monkeypatch,
                                                          capsys, argv):
     calls = _count_nl_calls(monkeypatch)

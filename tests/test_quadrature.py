@@ -53,8 +53,6 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         QuadratureSettings(target_rel_truncation=0.0)
     with pytest.raises(ValueError):
-        QuadratureSettings(pole_window=0.0)
-    with pytest.raises(ValueError):
         QuadratureSettings(workers=0)
 
 

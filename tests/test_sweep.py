@@ -36,11 +36,24 @@ def test_power_grid_is_built_by_index_up_to_the_row_cap():
     assert power_grid_dbm(-1.0, 1.0, 0.5) == [-1.0, -0.5, 0.0, 0.5, 1.0]
     assert power_grid_dbm(0.0, 0.3, 0.1) == [0.0, 0.1, 0.2, 3 * 0.1]
     assert power_grid_dbm(2.0, 2.0, 1.0) == [2.0]
-    assert len(power_grid_dbm(0.0, MAX_POWER_ROWS - 1.0, 1.0)) == MAX_POWER_ROWS
+    # a 1/32 dB step keeps every point exact and below the float range
+    step = 2.0 ** -5
+    assert len(power_grid_dbm(-1500.0, -1500.0 + (MAX_POWER_ROWS - 1) * step, step)) \
+        == MAX_POWER_ROWS
     with pytest.raises(ValueError, match="more than"):
-        power_grid_dbm(0.0, float(MAX_POWER_ROWS), 1.0)
+        power_grid_dbm(-1500.0, -1500.0 + MAX_POWER_ROWS * step, step)
     with pytest.raises(ValueError):
         power_grid_dbm(1.0, -1.0, 0.5)
+
+
+@pytest.mark.parametrize("p_min, p_max, step", [
+    (3000.0, 3100.0, 50.0), (-4000.0, -3990.0, 5.0), (-4000.0, 0.0, 100.0),
+], ids=["last-point-overflows", "all-underflow", "first-point-underflows"])
+def test_power_grid_refuses_a_power_outside_the_float_range(p_min, p_max, step):
+    # 10**(p/10) mW overflows a float from about 3,083 dBm and underflows
+    # to 0 W below about -3,206 dBm
+    with pytest.raises(ValueError, match="finite power > 0"):
+        power_grid_dbm(p_min, p_max, step)
 
 
 def test_power_sweep_rows_match_direct_evaluation(hybrid_span, settings):
