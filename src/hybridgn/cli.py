@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .config import AppConfig, ConfigError, load_config
 from .engine import Coherent, SpanScaled, nl_coefficient_with_report
 from .link import derive_span
-from .quadrature import brute_force_gamma_integral, log_weighted_integral, truncation_bound
+from .quadrature import brute_force_gamma_integral, truncation_bound
 from .sweep import optimal_split, power_grid_dbm, split_step_count, sweep_power, sweep_split
 from .units import dbm_to_watt, linear_to_db, watt_to_dbm
 
@@ -168,9 +168,7 @@ def cmd_check(cfg: AppConfig, grid_n: int, tolerance: float) -> Tuple[str, int]:
                     channel_count=min(cfg.system.channel_count, 3),
                     symbol_rate=min(cfg.system.symbol_rate, 1e9),
                     resolution_bw=None)
-    d = derive_span(cfg.span, small)
-    rep = log_weighted_integral(d, cfg.settings)
-    gamma_1d = d.kappa * rep.value
+    gamma_1d, d, _ = nl_coefficient_with_report(cfg.span, small, Coherent(), cfg.settings)
     quadrant = brute_force_gamma_integral(d, grid_n)
     gamma_2d = (64.0 / 27.0) * (small.span_count ** 2 * small.osnr_bw
                                 / small.symbol_rate ** 3) * quadrant
@@ -198,6 +196,8 @@ def cmd_bound(cfg: AppConfig, m_list: List[int]) -> Tuple[str, int]:
             tight, loose = truncation_bound(m, d)
         except ValueError as exc:
             raise ConfigError(f"m={m}: {exc}") from exc
+        if not (math.isfinite(tight) and math.isfinite(loose)):
+            raise ArithmeticError(f"m={m}: tail bound is not finite: {tight!r}, {loose!r}")
         rows.append((m, (m + 1) * math.pi, tight, loose))
     header = ["m", "mu", "tight_bound", "loose_bound"]
     if cfg.output_format == "json":
@@ -276,11 +276,13 @@ def _apply_overrides(cfg: AppConfig, args: argparse.Namespace) -> AppConfig:
     variant = cfg.variant
     if args.variant == "coherent":
         variant = Coherent()
-    elif args.variant == "span-scaled" or args.epsilon is not None:
-        if args.variant is None and not isinstance(variant, SpanScaled):
+    elif args.variant == "span-scaled" and not isinstance(variant, SpanScaled):
+        variant = SpanScaled()
+    if args.epsilon is not None:
+        if not isinstance(variant, SpanScaled):
             raise ConfigError("--epsilon requires the span-scaled variant")
         try:
-            variant = SpanScaled(epsilon=args.epsilon if args.epsilon is not None else 0.0)
+            variant = SpanScaled(epsilon=args.epsilon)
         except ValueError as exc:
             raise ConfigError(f"--epsilon: {exc}") from exc
 

@@ -135,6 +135,8 @@ def parse_config(raw: Dict[str, Any]) -> AppConfig:
         settings = QuadratureSettings(**raw.get("quadrature", {}))
         varraw = raw.get("variant", {"kind": "coherent"})
         if varraw["kind"] == "coherent":
+            if "epsilon" in varraw:
+                raise ValueError("variant/epsilon applies only to kind span_scaled")
             variant: GnVariant = Coherent()
         else:
             variant = SpanScaled(epsilon=varraw.get("epsilon", 0.0))

@@ -12,22 +12,22 @@ oscillates with period pi.  The evaluator splits the range into
 * tail  [mu, zeta_max]    dropped once an analytic bound certifies that its
                           contribution is below the requested tolerance.
 
-The body is evaluated in blocks of about BLOCK_NODES nodes, one kernel call
-per block.  Before the first block, one vectorised call of
-:func:`truncation_bound` gives every panel that closes a period its tight
-tail bound.  The body stops at the first such panel whose bound is within
-the target of the estimate head + panels so far.  The integrand is
-nonnegative, so that estimate never falls: the first panel admissible at the
-estimate before a block caps the block's end.  The kept panels are summed
-with one math.fsum, so the result does not depend on how panels were
-grouped into blocks.
+The body is laid out, bounded and evaluated one block at a time, one kernel
+call per block: the graded stretch below pi, then blocks of periods of at
+most BLOCK_NODES nodes, so no array grows with zeta_max.  Per block, one
+vectorised call of :func:`truncation_bound` gives each panel that closes a
+period its tight tail bound.  The body stops at the first such panel whose
+bound is within the target of the estimate head + panels so far.  The
+integrand is nonnegative, so that estimate never falls: the first panel
+admissible at the estimate before a block caps the block's end.  One
+math.fsum sums the kept panels, so the result does not depend on the blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -197,8 +197,8 @@ def refined_singular_head(delta: float, d: DerivedSpan,
         raise ValueError("delta must lie in (0, zeta_max]")
     spacing = math.pi / (d.n_spans * settings.nodes_per_oscillation)
     n_sub = max(16, 2 * int(math.ceil(delta / spacing / 2.0)))
-    nodes = np.linspace(0.0, delta, n_sub + 1)
-    mass = _simpson(xi(nodes, d), delta / n_sub)
+    mass = float(_simpson_block(np.array([0.0]), np.array([delta]), np.array([n_sub]),
+                                lambda z: xi(z, d))[0])
     eta0 = fwm_efficiency(0.0, d)
     return math.log(d.zeta_max / delta) * mass \
         + (eta0 / d.n_spans) * _fejer_log_moment(delta, d.n_spans)
@@ -207,57 +207,42 @@ def refined_singular_head(delta: float, d: DerivedSpan,
 # ---------------------------------------------------------------------------
 # body
 
-#: Kernel nodes per block: panels are grouped until a block holds about this
-#: many nodes (a single panel larger than that is a block of its own).
+#: Kernel nodes per block of periods at most (a period with more nodes than
+#: that is a block of its own).
 BLOCK_NODES = 1 << 14
 
 
-def _simpson(f_vals: np.ndarray, h: float) -> float:
-    """Composite Simpson rule over equally spaced samples (even count)."""
-    n = f_vals.shape[0] - 1
-    if n < 2 or n % 2:
-        raise ValueError("Simpson rule needs an even number of subintervals")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return math.fsum((w * f_vals).tolist()) * h / 3.0
+def _pi_panels(lower: float, upper: float,
+               periods: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Split [lower, upper] at multiples of pi; yield the panels [a_i, b_i]
+    one block at a time, as arrays (a, b).
 
-
-def _pi_panels(lower: float, upper: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split [lower, upper] at multiples of pi, grading the singular end.
-
-    Returns arrays (a, b, k) of the panels [a_i, b_i]; k_i = K when
-    b_i == K*pi, i.e. when the panel closes a full oscillation period, and 0
-    otherwise.  Below the first pi edge the log weight still varies on the
-    scale of zeta itself, so that stretch is subdivided geometrically (each
-    sub-panel about as long as its distance from the origin); uniform pi
-    panels would otherwise lose four orders of accuracy right above the
-    head cut.
+    Below the first pi edge the log weight still varies on the scale of zeta
+    itself, so that stretch is subdivided geometrically (each sub-panel about
+    as long as its distance from the origin) and is the first block; uniform
+    pi panels would otherwise lose four orders of accuracy right above the
+    head cut.  Then come blocks of `periods` panels, the last ending at upper.
     """
-    graded: List[Tuple[float, float, int]] = []
-    first_edge = min(math.pi, upper) if lower < math.pi else None
     a = lower
-    if first_edge is not None:
+    if lower < math.pi:
+        first_edge = min(math.pi, upper)
+        edges = [lower]
         # grading needs a positive anchor; integrands starting at zero are
         # smooth there and take the stretch as one panel
-        while a > 0.0 and 2.0 * a < first_edge:
-            graded.append((a, 2.0 * a, 0))
-            a = 2.0 * a
-        if first_edge > a:
-            graded.append((a, first_edge, 1 if first_edge == math.pi else 0))
+        while 0.0 < edges[-1] and 2.0 * edges[-1] < first_edge:
+            edges.append(2.0 * edges[-1])
+        edges.append(first_edge)
+        yield np.array(edges[:-1]), np.array(edges[1:])
         a = first_edge
     k = int(math.floor(a / math.pi)) + 1
     while k * math.pi <= a:  # guard against floor landing on the edge itself
         k += 1
-    ks = np.arange(k, max(k, int(math.ceil(upper / math.pi)) + 2))
-    ks = ks[ks * math.pi < upper]
-    edges = ks * math.pi
-    starts = np.concatenate(([p[0] for p in graded], [a], edges))
-    ends = np.concatenate(([p[1] for p in graded], edges, [upper]))
-    closes = np.concatenate((np.array([p[2] for p in graded], dtype=np.int64), ks, [0]))
-    if not upper > starts[-1]:  # no partial panel after the last pi edge
-        starts, ends, closes = starts[:-1], ends[:-1], closes[:-1]
-    return starts, ends, closes
+    while a < upper:
+        ends = np.arange(k, k + periods) * math.pi
+        ends = np.append(ends[ends < upper], upper)[:periods]
+        yield np.append(a, ends[:-1]), ends
+        a = float(ends[-1])
+        k += periods
 
 
 def _default_integrand(d: DerivedSpan) -> Callable[[np.ndarray], np.ndarray]:
@@ -295,44 +280,43 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
                       head: float = 0.0, truncate: bool = False,
                       ) -> Tuple[float, int, Optional[int], float]:
     """Composite-Simpson sum of the pi-aligned panels of [lower, upper],
-    evaluated block by block.
+    laid out, bounded and evaluated one block of :func:`_pi_panels` at a time.
 
-    With `truncate`, stop at the first panel closing a period k >= 2 whose
-    tight tail bound (m = k - 1) is <= target * (head + panels so far).
+    A panel ending at b closes period k = rint(b/pi) when k*pi == b, k >= 2
+    and b < upper.  With `truncate`, one :func:`truncation_bound` call per
+    block gives each such panel its tight tail bound (m = k - 1), and the sum
+    stops at the first one whose bound is <= target * (head + panels so far).
     Returns (body, panels evaluated, m or None, tight bound at the stop or 0).
     """
-    a, b, closes = _pi_panels(lower, upper)
     sub_per_pi = d.n_spans * settings.nodes_per_oscillation
     n_floor = 2 * settings.nodes_per_oscillation
-    n_sub = np.maximum(n_floor,
-                       2 * np.ceil((b - a) / math.pi * sub_per_pi / 2.0).astype(np.int64))
-    nodes_before = np.concatenate(([0], np.cumsum(n_sub + 1)))
-    # NaN where no stop is allowed: it compares false against any estimate
-    bound = np.full(len(a), np.nan)
-    if truncate:
-        periods = np.flatnonzero(closes >= 2)
-        bound[periods] = truncation_bound(closes[periods] - 1, d)[0]
+    # no panel has more subintervals than a period rounded an ulp long
+    period_sub = max(n_floor, 2 * math.ceil(sub_per_pi / 2.0) + 2)
     target = settings.target_rel_truncation * d.n_spans
     values: List[float] = []
-    i = 0
-    while i < len(a):
-        j = int(np.searchsorted(nodes_before, nodes_before[i] + BLOCK_NODES, side="right")) - 1
+    for a, b in _pi_panels(lower, upper, max(1, BLOCK_NODES // (period_sub + 1))):
+        n_sub = np.maximum(n_floor,
+                           2 * np.ceil((b - a) / math.pi * sub_per_pi / 2.0).astype(np.int64))
+        # NaN where no stop is allowed: it compares false against any estimate
+        bound = np.full(len(a), np.nan)
+        k = np.rint(b / math.pi).astype(np.int64)
+        if truncate:
+            closes = np.flatnonzero((k * math.pi == b) & (k >= 2) & (b < upper))
+            bound[closes] = truncation_bound(k[closes] - 1, d)[0]
         done = head + math.fsum(values)
         if done > 0.0:
             # the estimate never falls, so the body stops here at the latest
-            admissible = np.flatnonzero(bound[i:j] <= target * done)
+            admissible = np.flatnonzero(bound <= target * done)
             if admissible.size:
-                j = i + int(admissible[0]) + 1
-        j = max(j, i + 1)
-        block = _simpson_block(a[i:j], b[i:j], n_sub[i:j], f)
+                a, b, n_sub, bound = (x[:admissible[0] + 1] for x in (a, b, n_sub, bound))
+        block = _simpson_block(a, b, n_sub, f)
         estimates = done + np.cumsum(block)
-        stops = np.flatnonzero((estimates > 0.0) & (bound[i:j] <= target * estimates))
+        stops = np.flatnonzero((estimates > 0.0) & (bound <= target * estimates))
         if stops.size:
-            stop = i + int(stops[0])
-            values.extend(block[:stop - i + 1].tolist())
-            return math.fsum(values), len(values), int(closes[stop]) - 1, float(bound[stop])
+            stop = int(stops[0])
+            values.extend(block[:stop + 1].tolist())
+            return math.fsum(values), len(values), int(k[stop]) - 1, float(bound[stop])
         values.extend(block.tolist())
-        i = j
     return math.fsum(values), len(values), None, 0.0
 
 

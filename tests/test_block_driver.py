@@ -26,7 +26,6 @@ from hybridgn import (
     xi,
 )
 from hybridgn import quadrature
-from hybridgn.quadrature import _pi_panels
 from hybridgn.units import (
     attenuation_db_per_km_to_np_per_m,
     beta2_ps2_per_km_to_s2_per_m,
@@ -49,11 +48,30 @@ LOSSLESS = FiberSegment("lossless", 20e3, 0.0, beta2_ps2_per_km_to_s2_per_m(-20.
                         gamma_per_w_km_to_per_w_m(0.9))
 
 
+def reference_layout(lower, upper):
+    """Panels (a, b, k) of [lower, upper]: doubling from `lower` below pi,
+    then the multiples of pi, then `upper`; k = K for a panel ending at
+    K*pi below `upper`, else 0."""
+    edges, ks = [lower], [0]
+    while 0.0 < edges[-1] and 2.0 * edges[-1] < min(math.pi, upper):
+        edges.append(2.0 * edges[-1])
+        ks.append(0)
+    big_k = 1
+    while big_k * math.pi < upper:
+        if big_k * math.pi > lower:
+            edges.append(big_k * math.pi)
+            ks.append(big_k)
+        big_k += 1
+    edges.append(upper)
+    ks.append(0)
+    return np.array(edges[:-1]), np.array(edges[1:]), np.array(ks[1:])
+
+
 def reference_panels(lower, upper, d, settings):
     """Yield (k, value) per panel: one kernel call and an fsum Simpson each."""
     sub_per_pi = d.n_spans * settings.nodes_per_oscillation
     n_floor = 2 * settings.nodes_per_oscillation
-    for a, b, k_end in zip(*_pi_panels(lower, upper)):
+    for a, b, k_end in zip(*reference_layout(lower, upper)):
         n_sub = max(n_floor, 2 * int(math.ceil((b - a) / math.pi * sub_per_pi / 2.0)))
         nodes = np.linspace(a, b, n_sub + 1)
         w = np.ones(n_sub + 1)
@@ -164,7 +182,7 @@ def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
     blocks = tops[1:]  # the first kernel call is the head
     assert blocks and rep.truncation_m is not None
     # the top node of a block is the end of its last panel
-    ends = _pi_panels(rep.delta, d.zeta_max)[1]
+    ends = reference_layout(rep.delta, d.zeta_max)[1]
     last_panel = np.searchsorted(ends, blocks)
     assert np.array_equal(ends[last_panel], blocks)
     # the stop lies in the last block

@@ -90,10 +90,22 @@ def test_gamma_span_scaled_variant():
                                                       rel=1e-12)
 
 
-def test_epsilon_requires_span_scaled():
-    res = run_cli("gamma", "--config", ATLANTIC_CFG, "--epsilon", "0.1")
+@pytest.mark.parametrize("flags", [[], ["--variant", "coherent"]],
+                         ids=["config-coherent", "variant-coherent"])
+def test_epsilon_requires_span_scaled(flags):
+    res = run_cli("gamma", "--config", ATLANTIC_CFG, *flags, "--epsilon", "0.1")
     assert res.returncode == 2
     assert b"epsilon" in res.stderr
+
+
+def test_span_scaled_flag_keeps_the_config_epsilon(tmp_path, capsys):
+    raw = json.loads(Path(TOY_CFG).read_text())
+    raw["variant"] = {"kind": "span_scaled", "epsilon": 0.2}
+    p = tmp_path / "epsilon.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["gamma", "--config", str(p), "--variant", "span-scaled",
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["epsilon"] == 0.2
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf"])
@@ -173,8 +185,8 @@ def test_sweep_power_grid_validation():
 
 
 def _cap_address_space():
-    # A grid that is never bounded grows until memory runs out; cap it so
-    # that such a run fails fast instead.
+    # A run whose memory grows with its input would take all the memory
+    # there is; cap it at 2 GiB so that such a run fails fast instead.
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
@@ -192,6 +204,21 @@ def test_sweep_power_grid_over_the_row_cap_is_a_config_error(args):
     assert res.returncode == 2, res.stderr
     assert res.stdout == b""
     assert b"config error" in res.stderr and b"more than" in res.stderr
+
+
+def test_gamma_with_a_hundred_thousand_channels_fits_in_memory(tmp_path):
+    # the body is laid out per block, so memory does not grow with zeta0
+    raw = json.loads(Path(TOY_CFG).read_text())
+    raw["system"]["channels"] = 100000
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(raw))
+    res = subprocess.run([sys.executable, "-m", "hybridgn", "gamma", "--config", str(p)],
+                         capture_output=True, timeout=120,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                         preexec_fn=_cap_address_space)
+    assert res.returncode == 0, res.stderr
+    gamma = float(csv_pairs(res.stdout)["gamma_nl_per_w2"])
+    assert math.isfinite(gamma) and gamma > 0.0
 
 
 def test_sweep_split_csv():
@@ -259,6 +286,17 @@ def test_bound_table():
     assert [r[0] for r in rows[1:]] == ["5", "10", "20", "50"]
     for r in rows[1:]:
         assert float(r[2]) <= float(r[3])
+
+
+def test_bound_non_finite_is_a_numerical_error(tmp_path):
+    raw = json.loads(Path(ATLANTIC_CFG).read_text())
+    raw["span"][0]["gamma_per_w_km"] = 1e300
+    p = tmp_path / "huge_gamma.json"
+    p.write_text(json.dumps(raw))
+    res = run_cli("bound", "--config", str(p), "--m-list", "5")
+    assert res.returncode == 3
+    assert res.stdout == b""
+    assert b"numerical error:" in res.stderr
 
 
 def test_bound_rejects_out_of_range_m():

@@ -189,6 +189,7 @@ def test_wrong_type_rejected(path, value):
     _case(("quadrature", "target_rel_truncation"), 0.0, "0"),
     _case(("quadrature", "target_rel_truncation"), -1e-4, "-1e-4"),
     _case(("quadrature", "workers"), 0, "0"),
+    _case(("variant", "epsilon"), 0.3, "coherent"),
 ])
 def test_schema_bounds_enforced(path, value):
     raw = _edited(path, value)
