@@ -156,9 +156,14 @@ def cmd_sweep_split(cfg: AppConfig, step_km: Optional[float]) -> Tuple[str, int]
     return _csv_table(header, table, trailer=trailer), 0
 
 
+#: Finest 2-D grid `check` accepts: its (grid + 1)^2 nodes still fit in
+#: about 2 GiB of address space, twice that do not.
+MAX_CHECK_GRID = 2048
+
+
 def cmd_check(cfg: AppConfig, grid_n: int, tolerance: float) -> Tuple[str, int]:
-    if grid_n < 2 or grid_n % 2:
-        raise ConfigError(f"--grid must be even and >= 2, got {grid_n}")
+    if not 2 <= grid_n <= MAX_CHECK_GRID or grid_n % 2:
+        raise ConfigError(f"--grid must be even and in [2, {MAX_CHECK_GRID}], got {grid_n}")
     if not 0.0 <= tolerance < math.inf:
         raise ConfigError(f"--tolerance must be finite and >= 0, got {tolerance}")
     # Shrink the spectral extent so the 2-D reference stays cheap while the

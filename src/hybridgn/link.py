@@ -94,6 +94,12 @@ class SpanPlan:
         return float(sum(s.length for s in self.segments))
 
 
+#: Most spans a link may have.  The body's subinterval count per period grows
+#: with the span count; far beyond this bound an integral runs out of memory
+#: or time.
+MAX_SPAN_COUNT = 1000
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Link-level transmission parameters.
@@ -101,7 +107,7 @@ class SystemConfig:
     Attributes
     ----------
     span_count : int
-        Number of identical spans N_s, >= 1.
+        Number of identical spans N_s, in [1, MAX_SPAN_COUNT].
     symbol_rate : float
         Symbol rate per channel in baud.
     channel_count : int
@@ -137,8 +143,8 @@ class SystemConfig:
                         mpi_coeff=self.mpi_coeff, mpi_compensation=self.mpi_compensation)
         if self.resolution_bw is not None:
             _require_finite("system", resolution_bw=self.resolution_bw)
-        if self.span_count < 1:
-            raise ValueError("span_count must be >= 1")
+        if not 1 <= self.span_count <= MAX_SPAN_COUNT:
+            raise ValueError(f"span_count must lie in [1, {MAX_SPAN_COUNT}]")
         if not self.symbol_rate > 0.0:
             raise ValueError("symbol_rate must be > 0")
         if self.channel_count < 1:

@@ -12,14 +12,17 @@ oscillates with period pi.  The evaluator splits the range into
 * tail  [mu, zeta_max]    dropped once an analytic bound certifies that its
                           contribution is below the requested tolerance.
 
-The body is laid out, bounded and evaluated one block at a time, one kernel
-call per block: the graded stretch below pi, then blocks of periods of at
-most BLOCK_NODES nodes, so no array grows with zeta_max.  Per block, one
-vectorised call of :func:`truncation_bound` gives each panel that closes a
-period its tight tail bound.  The body stops at the first such panel whose
-bound is within the target of the estimate head + panels so far.  The
-integrand is nonnegative, so that estimate never falls: the first panel
-admissible at the estimate before a block caps the block's end.  One
+The body's layout is decided in one place, :func:`_pi_panels`: it gives each
+panel its Simpson subinterval count from the panel's nominal length (pi for
+every whole period, so all periods get the same count) and groups
+consecutive panels with equal counts into blocks of at most BLOCK_NODES
+nodes, so no array grows with zeta_max.  Each block is one (panels, n + 1)
+grid of nodes, one kernel call and one product with the Simpson weights.
+Per block, one vectorised call of :func:`truncation_bound` gives each panel
+that closes a period its tight tail bound.  The body stops at the first such
+panel whose bound is within the target of the estimate head + panels so
+far.  The integrand is nonnegative, so that estimate never falls: the first
+panel admissible at the estimate before a block caps the block's end.  One
 math.fsum sums the kept panels, so the result does not depend on the blocks.
 """
 
@@ -47,6 +50,11 @@ __all__ = [
 ]
 
 
+#: Most Simpson subintervals per span oscillation; far beyond this bound the
+#: head and the body blocks run out of memory.
+MAX_NODES_PER_OSCILLATION = 1000
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Tunables of the single-integral evaluator.
@@ -57,8 +65,10 @@ class QuadratureSettings:
         Fraction of the head-validity radius 3*sqrt(3)/n_spans used as the
         head cut delta, in (0, 1].
     nodes_per_oscillation : int
-        Simpson subintervals per span oscillation; each pi-length panel gets
-        n_spans * nodes_per_oscillation subintervals.
+        Simpson subintervals per span oscillation, in
+        [2, MAX_NODES_PER_OSCILLATION]; each whole period gets
+        n_spans * nodes_per_oscillation subintervals, rounded up to even and
+        at least 2 * nodes_per_oscillation.
     target_rel_truncation : float
         Relative tail tolerance epsilon_r for adaptive truncation.
     truncation_enabled : bool
@@ -78,8 +88,10 @@ class QuadratureSettings:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta_safety <= 1.0:
             raise ValueError("delta_safety must lie in (0, 1]")
-        if float(self.nodes_per_oscillation) < 2:  # OverflowError past a float
-            raise ValueError("nodes_per_oscillation must be >= 2")
+        # float() raises OverflowError past a float
+        if not 2 <= float(self.nodes_per_oscillation) <= MAX_NODES_PER_OSCILLATION:
+            raise ValueError("nodes_per_oscillation must lie in "
+                             f"[2, {MAX_NODES_PER_OSCILLATION}]")
         if not self.target_rel_truncation > 0.0:
             raise ValueError("target_rel_truncation must be > 0")
         if self.workers < 1:
@@ -197,7 +209,7 @@ def refined_singular_head(delta: float, d: DerivedSpan,
         raise ValueError("delta must lie in (0, zeta_max]")
     spacing = math.pi / (d.n_spans * settings.nodes_per_oscillation)
     n_sub = max(16, 2 * int(math.ceil(delta / spacing / 2.0)))
-    mass = float(_simpson_block(np.array([0.0]), np.array([delta]), np.array([n_sub]),
+    mass = float(_simpson_block(np.array([0.0]), np.array([delta]), n_sub,
                                 lambda z: xi(z, d))[0])
     eta0 = fwm_efficiency(0.0, d)
     return math.log(d.zeta_max / delta) * mass \
@@ -212,37 +224,58 @@ def refined_singular_head(delta: float, d: DerivedSpan,
 BLOCK_NODES = 1 << 14
 
 
-def _pi_panels(lower: float, upper: float,
-               periods: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Split [lower, upper] at multiples of pi; yield the panels [a_i, b_i]
-    one block at a time, as arrays (a, b).
+def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int,
+               ) -> Iterator[Tuple[np.ndarray, np.ndarray, int, np.ndarray]]:
+    """Split [lower, upper] at multiples of pi; yield the panels one block at
+    a time as (a, b, n_sub, k): the panel edges a and b, the Simpson
+    subinterval count n_sub that every panel of the block shares, and per
+    panel the period k >= 2 that it closes (b = k*pi < upper), or 0.
 
     Below the first pi edge the log weight still varies on the scale of zeta
     itself, so that stretch is subdivided geometrically (each sub-panel about
-    as long as its distance from the origin) and is the first block; uniform
-    pi panels would otherwise lose four orders of accuracy right above the
-    head cut.  Then come blocks of `periods` panels, the last ending at upper.
+    as long as its distance from the origin); uniform pi panels would
+    otherwise lose four orders of accuracy right above the head cut.
+
+    A panel of nominal length L gets max(2 * per_osc, the even number at or
+    above L/pi * n_spans * per_osc) subintervals: per_osc per oscillation of
+    phi, which has n_spans of them per period.  L is pi for a whole period,
+    so every period gets the same count, and b - a for the graded panels, a
+    partial first panel and the last panel.  Consecutive panels with equal
+    counts share a block; a block of periods holds at most BLOCK_NODES nodes,
+    or one period when that alone holds more.
     """
-    a = lower
-    if lower < math.pi:
-        first_edge = min(math.pi, upper)
-        edges = [lower]
-        # grading needs a positive anchor; integrands starting at zero are
-        # smooth there and take the stretch as one panel
-        while 0.0 < edges[-1] and 2.0 * edges[-1] < first_edge:
-            edges.append(2.0 * edges[-1])
-        edges.append(first_edge)
-        yield np.array(edges[:-1]), np.array(edges[1:])
-        a = first_edge
-    k = int(math.floor(a / math.pi)) + 1
-    while k * math.pi <= a:  # guard against floor landing on the edge itself
+    def count(length):
+        return np.maximum(2 * per_osc,
+                          2 * np.ceil(length / math.pi * (n_spans * per_osc) / 2.0)
+                          ).astype(np.int64)
+
+    def runs(a, b, n_sub, k):
+        cuts = [0, *(np.flatnonzero(np.diff(n_sub)) + 1), len(a)]
+        for i, j in zip(cuts[:-1], cuts[1:]):
+            yield a[i:j], b[i:j], int(n_sub[i]), k[i:j]
+
+    period = int(count(math.pi))
+    per_block = max(1, BLOCK_NODES // (period + 1))
+    edges = [lower]
+    # grading needs a positive anchor; integrands starting at zero are smooth
+    # there and take the stretch as one panel
+    while 0.0 < edges[-1] and 2.0 * edges[-1] < min(math.pi, upper):
+        edges.append(2.0 * edges[-1])
+    k = math.floor(lower / math.pi)
+    while k * math.pi <= lower:  # k*pi: the first multiple of pi above lower
         k += 1
-    while a < upper:
-        ends = np.arange(k, k + periods) * math.pi
-        ends = np.append(ends[ends < upper], upper)[:periods]
-        yield np.append(a, ends[:-1]), ends
-        a = float(ends[-1])
-        k += periods
+    # the stretch up to the first multiple of pi, where only a partial first
+    # panel (lower >= pi) can close a period
+    a, b = np.array(edges), np.append(edges[1:], min(k * math.pi, upper))
+    closes = np.where(b < upper, k if k >= 2 else 0, 0)
+    yield from runs(a, b, count(b - a), closes)
+    while b[-1] < upper:
+        ks = np.arange(k + 1, k + 1 + per_block)
+        ends = np.append(ks[ks * math.pi < upper] * math.pi, upper)[:per_block]
+        a, b = np.append(b[-1], ends[:-1]), ends
+        closes = np.where(b < upper, ks[:len(b)], 0)
+        yield from runs(a, b, np.where(closes > 0, period, count(b - a)), closes)
+        k += per_block
 
 
 def _default_integrand(d: DerivedSpan) -> Callable[[np.ndarray], np.ndarray]:
@@ -251,27 +284,22 @@ def _default_integrand(d: DerivedSpan) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def _simpson_block(a: np.ndarray, b: np.ndarray, n_sub: np.ndarray,
+def _simpson_block(a: np.ndarray, b: np.ndarray, n_sub: int,
                    f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Composite-Simpson values of the panels [a_i, b_i] with n_sub_i
-    subintervals each, from one call of `f` on all their nodes.
+    """Composite-Simpson values of the panels [a_i, b_i] with n_sub
+    subintervals each, from one call of `f` on their (panels, n_sub + 1) grid
+    of nodes.
 
-    Nodes follow np.linspace (a + i*h, last node set to b), so each panel
-    sees the same samples as when it is integrated on its own.
+    Row i follows np.linspace (a_i + j*h_i, last node set to b_i), so each
+    panel sees the same samples as when it is integrated on its own.
     """
-    counts = n_sub + 1
-    starts = np.zeros(counts.shape[0], dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    ends = starts + n_sub
-    local = np.arange(ends[-1] + 1) - np.repeat(starts, counts)
     h = (b - a) / n_sub
-    nodes = local * np.repeat(h, counts) + np.repeat(a, counts)
-    nodes[ends] = b
-    weights = 2.0 + 2.0 * (local & 1)
-    weights[starts] = 1.0
-    weights[ends] = 1.0
-    sums = np.add.reduceat(weights * np.asarray(f(nodes), dtype=float), starts)
-    return sums * h / 3.0
+    nodes = a[:, None] + h[:, None] * np.arange(n_sub + 1)
+    nodes[:, -1] = b
+    weights = np.full(n_sub + 1, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    return np.asarray(f(nodes), dtype=float) @ weights * h / 3.0
 
 
 def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
@@ -280,35 +308,27 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
                       head: float = 0.0, truncate: bool = False,
                       ) -> Tuple[float, int, Optional[int], float]:
     """Composite-Simpson sum of the pi-aligned panels of [lower, upper],
-    laid out, bounded and evaluated one block of :func:`_pi_panels` at a time.
+    bounded and evaluated one block of :func:`_pi_panels` at a time.
 
-    A panel ending at b closes period k = rint(b/pi) when k*pi == b, k >= 2
-    and b < upper.  With `truncate`, one :func:`truncation_bound` call per
-    block gives each such panel its tight tail bound (m = k - 1), and the sum
-    stops at the first one whose bound is <= target * (head + panels so far).
-    Returns (body, panels evaluated, m or None, tight bound at the stop or 0).
+    With `truncate`, one :func:`truncation_bound` call per block gives each
+    panel that closes a period k its tight tail bound (m = k - 1), and the
+    sum stops at the first one whose bound is <= target * (head + panels so
+    far).  Returns (body, panels evaluated, m or None, tight bound at the
+    stop or 0).
     """
-    sub_per_pi = d.n_spans * settings.nodes_per_oscillation
-    n_floor = 2 * settings.nodes_per_oscillation
-    # no panel has more subintervals than a period rounded an ulp long
-    period_sub = max(n_floor, 2 * math.ceil(sub_per_pi / 2.0) + 2)
     target = settings.target_rel_truncation * d.n_spans
     values: List[float] = []
-    for a, b in _pi_panels(lower, upper, max(1, BLOCK_NODES // (period_sub + 1))):
-        n_sub = np.maximum(n_floor,
-                           2 * np.ceil((b - a) / math.pi * sub_per_pi / 2.0).astype(np.int64))
+    for a, b, n_sub, k in _pi_panels(lower, upper, d.n_spans, settings.nodes_per_oscillation):
         # NaN where no stop is allowed: it compares false against any estimate
         bound = np.full(len(a), np.nan)
-        k = np.rint(b / math.pi).astype(np.int64)
-        if truncate:
-            closes = np.flatnonzero((k * math.pi == b) & (k >= 2) & (b < upper))
-            bound[closes] = truncation_bound(k[closes] - 1, d)[0]
+        if truncate and k.any():
+            bound[k > 0] = truncation_bound(k[k > 0] - 1, d)[0]
         done = head + math.fsum(values)
         if done > 0.0:
             # the estimate never falls, so the body stops here at the latest
             admissible = np.flatnonzero(bound <= target * done)
             if admissible.size:
-                a, b, n_sub, bound = (x[:admissible[0] + 1] for x in (a, b, n_sub, bound))
+                a, b, k, bound = (x[:admissible[0] + 1] for x in (a, b, k, bound))
         block = _simpson_block(a, b, n_sub, f)
         estimates = done + np.cumsum(block)
         stops = np.flatnonzero((estimates > 0.0) & (bound <= target * estimates))

@@ -33,6 +33,7 @@ __all__ = [
     "PowerSweepRow",
     "SplitSweepRow",
     "MAX_POWER_ROWS",
+    "MAX_SPLIT_STEPS",
     "power_grid_dbm",
     "sweep_power",
     "sweep_split",
@@ -65,6 +66,10 @@ class SplitSweepRow:
 #: Most launch powers one power grid may hold; a wider range or a finer step
 #: is refused before any point is built.
 MAX_POWER_ROWS = 100_000
+
+#: Most steps one split sweep may take across the span; each step is one
+#: gamma_nl integral, so a finer step is refused before any is made.
+MAX_SPLIT_STEPS = 1000
 
 
 def power_grid_dbm(p_min_dbm: float, p_max_dbm: float, p_step_db: float) -> List[float]:
@@ -134,13 +139,16 @@ def split_step_count(span_length: float, step: float) -> int:
     """Number of split steps across the span.
 
     `step` must divide `span_length` to within 1 part in 1e9 so the sweep
-    lands exactly on the endpoints; ValueError otherwise.
+    lands exactly on the endpoints, into at most MAX_SPLIT_STEPS steps;
+    ValueError otherwise.
     """
     if not span_length > 0.0:
         raise ValueError("span_length must be > 0")
     if not 0.0 < step <= span_length:
         raise ValueError("step must lie in (0, span_length]")
     n_steps = span_length / step
+    if not n_steps < MAX_SPLIT_STEPS + 0.5:
+        raise ValueError(f"step must split the span into at most {MAX_SPLIT_STEPS} steps")
     if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
         raise ValueError("step must divide span_length")
     return int(round(n_steps))

@@ -68,11 +68,15 @@ def reference_layout(lower, upper):
 
 
 def reference_panels(lower, upper, d, settings):
-    """Yield (k, value) per panel: one kernel call and an fsum Simpson each."""
+    """Yield (k, value) per panel: one kernel call and an fsum Simpson each,
+    on the subinterval count of the panel's nominal length."""
     sub_per_pi = d.n_spans * settings.nodes_per_oscillation
     n_floor = 2 * settings.nodes_per_oscillation
     for a, b, k_end in zip(*reference_layout(lower, upper)):
-        n_sub = max(n_floor, 2 * int(math.ceil((b - a) / math.pi * sub_per_pi / 2.0)))
+        # a whole period counts as pi long, whatever b - a rounds to
+        whole = k_end >= 2 and a == (k_end - 1) * math.pi
+        length = math.pi if whole else b - a
+        n_sub = max(n_floor, 2 * int(math.ceil(length / math.pi * sub_per_pi / 2.0)))
         nodes = np.linspace(a, b, n_sub + 1)
         w = np.ones(n_sub + 1)
         w[1:-1:2] = 4.0
@@ -198,20 +202,30 @@ def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
 
 
 def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
-    """Kernel calls are blocks of up to BLOCK_NODES nodes, not single panels."""
+    """Kernel calls are blocks of up to BLOCK_NODES nodes, not single panels,
+    each laid out as one panels x nodes grid; every whole period gets the
+    subinterval count of pi, 60 * 16 at N = 60."""
     d = _coherent(SpanPlan((QSMF, SMF)), 60)
-    sizes = []
+    grids = []
     real_xi = quadrature.xi
 
     def recording_xi(zeta, *args, **kwargs):
-        sizes.append(int(np.size(zeta)))
+        grids.append(np.array(zeta, copy=True))
         return real_xi(zeta, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "xi", recording_xi)
     rep = log_weighted_integral(d, QuadratureSettings())
-    body = sizes[1:]  # the first kernel call is the head
-    assert max(body) <= quadrature.BLOCK_NODES
+    body = grids[1:]  # the first kernel call is the head
+    assert max(g.size for g in body) <= quadrature.BLOCK_NODES
     assert len(body) < rep.panels_evaluated / 10
+    assert all(g.ndim == 2 for g in body)
+    periods = 0
+    for g in body:
+        k = np.rint(g[:, 0] / math.pi)
+        if np.all((k >= 1) & (g[:, 0] == k * math.pi) & (g[:, -1] == (k + 1) * math.pi)):
+            assert g.shape[1] == 60 * 16 + 1
+            periods += g.shape[0]
+    assert periods >= rep.truncation_m  # the periods [pi, 2 pi] .. [m pi, (m+1) pi]
 
 
 def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):
@@ -224,11 +238,12 @@ def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):
 
 
 def test_block_nodes_follow_linspace():
-    """A block lays out each panel's nodes exactly as np.linspace would."""
+    """A block lays out each panel's nodes exactly as np.linspace would, one
+    row per panel."""
     a = np.array([0.3, math.pi, 2.0 * math.pi])
     b = np.array([math.pi, 2.0 * math.pi, 3.0 * math.pi])
-    n_sub = np.array([32, 3202, 3200])
+    n_sub = 3200
     seen = []
     quadrature._simpson_block(a, b, n_sub, lambda z: seen.append(z.copy()) or np.ones_like(z))
-    expected = np.concatenate([np.linspace(a[i], b[i], n_sub[i] + 1) for i in range(3)])
+    expected = np.array([np.linspace(a[i], b[i], n_sub + 1) for i in range(3)])
     assert np.array_equal(seen[0], expected)

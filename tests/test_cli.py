@@ -364,8 +364,12 @@ def test_non_integral_count_in_config_is_a_config_error(tmp_path, command, block
      "--p-step-db", "50"],
     ["sweep-power", "--config", TOY_CFG, "--p-min-dbm=-4000", "--p-max-dbm=-3990",
      "--p-step-db", "5"],
+    # past the caps: a 2-D grid that outgrows memory, 2,000 split integrals
+    ["check", "--config", TOY_CFG, "--grid", "2050"],
+    ["sweep-split", "--config", TOY_CFG, "--step-km", "0.05"],
 ], ids=["grid-odd", "grid-zero", "tolerance-nan", "p-min-nan", "p-min-minus-inf",
-        "p-max-inf", "workers-zero", "power-overflow", "power-underflow"])
+        "p-max-inf", "workers-zero", "power-overflow", "power-underflow", "grid-too-fine",
+        "split-step-too-fine"])
 def test_bad_numeric_argument_is_an_argument_error(args):
     res = run_cli(*args)
     assert res.returncode == 2, res.stderr

@@ -170,6 +170,7 @@ def test_wrong_type_rejected(path, value):
     _case(("span", 0, "gamma_per_w_km"), -1.0, "-1"),
     _case(("span",), [], "empty"),
     _case(("system", "spans"), 0, "0"),
+    _case(("system", "spans"), 1001, "1001"),
     _case(("system", "symbol_rate_gbd"), 0.0, "0"),
     _case(("system", "symbol_rate_gbd"), -32.0, "-32"),
     _case(("system", "channels"), 0, "0"),
@@ -184,6 +185,7 @@ def test_wrong_type_rejected(path, value):
     _case(("variant", "kind"), "span-scaled", "span-scaled"),
     _case(("quadrature", "nodes_per_oscillation"), 1, "1"),
     _case(("quadrature", "nodes_per_oscillation"), 0, "0"),
+    _case(("quadrature", "nodes_per_oscillation"), 1001, "1001"),
     _case(("quadrature", "delta_safety"), 0.0, "0"),
     _case(("quadrature", "delta_safety"), 1.5, "1.5"),
     _case(("quadrature", "target_rel_truncation"), 0.0, "0"),
@@ -202,10 +204,12 @@ def test_schema_bounds_enforced(path, value):
     _case(("span", 0, "gamma_per_w_km"), 0, "0"),
     _case(("span", 0, "length_km"), 80, "int"),
     _case(("system", "spans"), 1, "1"),
+    _case(("system", "spans"), 1000, "1000"),
     _case(("system", "channels"), 1, "1"),
     _case(("system", "mpi_compensation"), 1, "1"),
     _case(("quadrature", "delta_safety"), 1, "1"),
     _case(("quadrature", "nodes_per_oscillation"), 2, "2"),
+    _case(("quadrature", "nodes_per_oscillation"), 1000, "1000"),
     _case(("output", "path"), "stdout", "stdout"),
 ])
 def test_edge_values_accepted(path, value):

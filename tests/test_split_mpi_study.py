@@ -74,12 +74,13 @@ def test_study_csv_equals_per_strength_sweeps(tmp_path):
     ["--step-km", "7"],
     ["--step-km", "0"],
     ["--step-km", "150"],
+    ["--step-km", "0.05"],
     ["--strengths", "0,-1"],
     ["--strengths", "0,nan"],
     ["--strengths", "inf"],
     ["--strengths", "0,x"],
-], ids=["step-not-dividing", "step-zero", "step-too-long", "negative-strength",
-        "nan-strength", "inf-strength", "malformed-strength"])
+], ids=["step-not-dividing", "step-zero", "step-too-long", "step-too-fine",
+        "negative-strength", "nan-strength", "inf-strength", "malformed-strength"])
 def test_study_rejects_bad_arguments_before_any_integral(tmp_path, monkeypatch,
                                                          capsys, argv):
     calls = _count_nl_calls(monkeypatch)

@@ -19,6 +19,7 @@ from hybridgn import (
 )
 from hybridgn.sweep import (
     MAX_POWER_ROWS,
+    MAX_SPLIT_STEPS,
     apply_mpi,
     power_grid_dbm,
     span_with_split,
@@ -246,7 +247,10 @@ def test_split_step_count():
     assert split_step_count(100e3, 25e3) == 4
     assert split_step_count(100e3, 100e3) == 1
     assert split_step_count(100e3, 100e3 / 3.0) == 3
+    assert split_step_count(100e3, 100.0) == MAX_SPLIT_STEPS == 1000
     for span_length, step in ((100e3, 7e3), (100e3, 0.0), (100e3, -5e3),
-                              (100e3, 200e3), (0.0, 1.0), (100e3, math.nan)):
+                              (100e3, 200e3), (0.0, 1.0), (100e3, math.nan),
+                              # more steps than MAX_SPLIT_STEPS, some dividing the span
+                              (100e3, 50.0), (100e3, 1.0), (100e3, 1e-9), (100e3, 5e-324)):
         with pytest.raises(ValueError):
             split_step_count(span_length, step)
