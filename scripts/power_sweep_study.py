@@ -2,8 +2,9 @@
 
 Sweeps received Q against launch power for an all-premium span, an
 all-standard span and a half/half hybrid, all on the long-haul reference
-system.  Emits one CSV row per power with a Q column per design, then a
-summary block with each design's closed-form optimum.
+system.  The fibers, the hybrid span and the system are those of
+configs/transatlantic.json.  Emits one CSV row per power with a Q column per
+design, then a summary block with each design's closed-form optimum.
 
 Run from the repository root:
 
@@ -17,59 +18,23 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
-from hybridgn import (
-    Coherent,
-    FiberSegment,
-    QuadratureSettings,
-    SpanPlan,
-    SystemConfig,
-    optimal_power,
-    osnr_eff,
-    performance_coeffs,
-    q_factor,
-)
+from hybridgn import SpanPlan, optimal_power, osnr_eff, performance_coeffs, q_factor
+from hybridgn.config import load_config
 from hybridgn.sweep import power_grid_dbm
-from hybridgn.units import (
-    attenuation_db_per_km_to_np_per_m,
-    beta2_ps2_per_km_to_s2_per_m,
-    dbm_to_watt,
-    gamma_per_w_km_to_per_w_m,
-    linear_to_db,
-    watt_to_dbm,
-)
+from hybridgn.units import dbm_to_watt, linear_to_db, watt_to_dbm
 
-PREMIUM = FiberSegment(
-    name="premium",
-    length=100e3,
-    attenuation=attenuation_db_per_km_to_np_per_m(0.16),
-    beta2=beta2_ps2_per_km_to_s2_per_m(-26.6),
-    gamma=gamma_per_w_km_to_per_w_m(0.42158152337308633),
-)
-STANDARD = FiberSegment(
-    name="standard",
-    length=100e3,
-    attenuation=attenuation_db_per_km_to_np_per_m(0.158),
-    beta2=beta2_ps2_per_km_to_s2_per_m(-26.6),
-    gamma=gamma_per_w_km_to_per_w_m(0.9410301932738785),
-)
-
-SYSTEM = SystemConfig(
-    span_count=60,
-    symbol_rate=32e9,
-    channel_count=9,
-    noise_figure_db=5.0,
-    wavelength=1550e-9,
-)
+#: The reference link: a premium + standard hybrid span on the long-haul system.
+LINK = load_config(str(REPO / "configs" / "transatlantic.json"))
+SYSTEM = LINK.system
+PREMIUM, STANDARD = (replace(s, length=LINK.span.length) for s in LINK.span.segments)
 
 DESIGNS = {
     "premium": SpanPlan((PREMIUM,)),
     "standard": SpanPlan((STANDARD,)),
-    "hybrid": SpanPlan((
-        replace(PREMIUM, length=50e3),
-        replace(STANDARD, length=50e3),
-    )),
+    "hybrid": LINK.span,
 }
 
 
@@ -87,11 +52,8 @@ def main(argv=None):
         parser.error(str(exc))
     grid = [dbm_to_watt(p) for p in grid_dbm]
 
-    settings = QuadratureSettings()
-    variant = Coherent()
-
     # one gamma_nl integral per design, shared by the sweep and the summary
-    coeffs = {name: performance_coeffs(span, SYSTEM, variant, settings)
+    coeffs = {name: performance_coeffs(span, SYSTEM, LINK.variant, LINK.settings)
               for name, span in DESIGNS.items()}
 
     sink = open(args.output, "w", newline="") if args.output else sys.stdout

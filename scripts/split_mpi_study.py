@@ -5,7 +5,8 @@ premium.  If the premium fiber carries an MPI penalty that grows with its
 deployed length, the optimum migrates toward the standard fiber.  This
 study sweeps the MPI strength and reports the best split at each level.
 MPI changes only the OSNR, not gamma_nl or ASE, so the span physics of each
-split is computed once and every MPI strength reuses it.
+split is computed once and every MPI strength reuses it.  The two fibers and
+the system are those of configs/transatlantic.json.
 
 Run from the repository root:
 
@@ -17,45 +18,21 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
-from hybridgn import Coherent, QuadratureSettings, SystemConfig
+from hybridgn.config import load_config
 from hybridgn.sweep import apply_mpi, optimal_split, split_step_count, sweep_split
-from hybridgn.units import (
-    attenuation_db_per_km_to_np_per_m,
-    beta2_ps2_per_km_to_s2_per_m,
-    gamma_per_w_km_to_per_w_m,
-    linear_to_db,
-    watt_to_dbm,
-)
-from hybridgn.link import FiberSegment
+from hybridgn.units import linear_to_db, watt_to_dbm
 
-SPAN_LENGTH = 100e3
-
-PREMIUM = FiberSegment(
-    name="premium",
-    length=SPAN_LENGTH,
-    attenuation=attenuation_db_per_km_to_np_per_m(0.16),
-    beta2=beta2_ps2_per_km_to_s2_per_m(-26.6),
-    gamma=gamma_per_w_km_to_per_w_m(0.42158152337308633),
-)
-STANDARD = FiberSegment(
-    name="standard",
-    length=SPAN_LENGTH,
-    attenuation=attenuation_db_per_km_to_np_per_m(0.158),
-    beta2=beta2_ps2_per_km_to_s2_per_m(-26.6),
-    gamma=gamma_per_w_km_to_per_w_m(0.9410301932738785),
-)
-
-SYSTEM = SystemConfig(
-    span_count=60,
-    symbol_rate=32e9,
-    channel_count=9,
-    noise_figure_db=5.0,
-    wavelength=1550e-9,
-)
+#: The reference link: its two fibers, each stretched over the whole span.
+LINK = load_config(str(REPO / "configs" / "transatlantic.json"))
+SPAN_LENGTH = LINK.span.length
+SYSTEM = LINK.system
+PREMIUM, STANDARD = (replace(s, length=SPAN_LENGTH) for s in LINK.span.segments)
 
 
 def main(argv=None):
@@ -81,7 +58,7 @@ def main(argv=None):
         parser.error(f"--step-km: {exc}")
 
     physics = sweep_split(PREMIUM, STANDARD, SPAN_LENGTH, SYSTEM, step,
-                          Coherent(), QuadratureSettings())
+                          LINK.variant, LINK.settings)
 
     sink = open(args.output, "w", newline="") if args.output else sys.stdout
     try:

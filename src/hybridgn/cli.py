@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .config import AppConfig, ConfigError, load_config
+from .config import AppConfig, ConfigError, parse_config, read_config
 from .engine import Coherent, SpanScaled, nl_coefficient_with_report
 from .link import derive_span
 from .quadrature import brute_force_gamma_integral, truncation_bound
@@ -80,8 +80,6 @@ def _emit(report: Dict[str, Any], fmt: str) -> str:
 def cmd_gamma(cfg: AppConfig) -> Tuple[str, int]:
     gamma_nl, d, rep = nl_coefficient_with_report(
         cfg.span, cfg.system, cfg.variant, cfg.settings)
-    if not math.isfinite(gamma_nl):
-        raise ArithmeticError(f"gamma_nl is not finite: {gamma_nl!r}")
     report: Dict[str, Any] = {
         "variant": "coherent" if isinstance(cfg.variant, Coherent) else "span_scaled",
         "gamma_nl_per_w2": gamma_nl,
@@ -173,7 +171,8 @@ def cmd_check(cfg: AppConfig, grid_n: int, tolerance: float) -> Tuple[str, int]:
                     channel_count=min(cfg.system.channel_count, 3),
                     symbol_rate=min(cfg.system.symbol_rate, 1e9),
                     resolution_bw=None)
-    gamma_1d, d, _ = nl_coefficient_with_report(cfg.span, small, Coherent(), cfg.settings)
+    # the default, coherent variant: the one the 2-D double integral models
+    gamma_1d, d, _ = nl_coefficient_with_report(cfg.span, small, settings=cfg.settings)
     quadrant = brute_force_gamma_integral(d, grid_n)
     gamma_2d = (64.0 / 27.0) * (small.span_count ** 2 * small.osnr_bw
                                 / small.symbol_rate ** 3) * quadrant
@@ -224,19 +223,21 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, metavar="PATH",
                         help="JSON config file")
+    # Each flag below sets one config key; see _set_flags.
     common.add_argument("--output", metavar="PATH",
-                        help="write result here instead of stdout")
+                        help="output.path: write the result here; - means stdout")
     common.add_argument("--format", choices=["csv", "json"],
-                        help="override the config output format")
+                        help="output.format")
     common.add_argument("--variant", choices=["coherent", "span-scaled"],
-                        help="override the accumulation variant")
+                        help="variant.kind: the accumulation variant")
     common.add_argument("--epsilon", type=float,
-                        help="span-scaled coherence exponent")
+                        help="variant.epsilon: span-scaled coherence exponent")
     common.add_argument("--no-truncation", action="store_true",
-                        help="integrate the full range, no tail truncation")
+                        help="quadrature.truncation_enabled = false: integrate "
+                             "the full range, no tail truncation")
     common.add_argument("--workers", type=int, metavar="N",
-                        help="worker count; the integral runs serially, so the "
-                             "output is the same for any value")
+                        help="quadrature.workers; the integral runs serially, so "
+                             "the output is the same for any value")
 
     sub.add_parser("gamma", parents=[common],
                    help="nonlinear coefficient with quadrature report")
@@ -268,36 +269,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: AppConfig, args: argparse.Namespace) -> AppConfig:
-    settings = cfg.settings
+def _set_flags(raw: Dict[str, Any], args: argparse.Namespace) -> None:
+    """Write each flag given on the command line into the config key it sets."""
+    def put(block: str, key: str, value: Any) -> None:
+        raw.setdefault(block, {})[key] = value
+
     if args.no_truncation:
-        settings = replace(settings, truncation_enabled=False)
+        put("quadrature", "truncation_enabled", False)
     if args.workers is not None:
-        try:
-            settings = replace(settings, workers=args.workers)
-        except ValueError as exc:
-            raise ConfigError(f"--workers: {exc}") from exc
-
-    variant = cfg.variant
+        put("quadrature", "workers", args.workers)
     if args.variant == "coherent":
-        variant = Coherent()
-    elif args.variant == "span-scaled" and not isinstance(variant, SpanScaled):
-        variant = SpanScaled()
+        raw["variant"] = {"kind": "coherent"}  # drops the file's epsilon
+    elif args.variant == "span-scaled":
+        put("variant", "kind", "span_scaled")  # keeps the file's epsilon
     if args.epsilon is not None:
-        if not isinstance(variant, SpanScaled):
-            raise ConfigError("--epsilon requires the span-scaled variant")
-        try:
-            variant = SpanScaled(epsilon=args.epsilon)
-        except ValueError as exc:
-            raise ConfigError(f"--epsilon: {exc}") from exc
-
-    return replace(
-        cfg,
-        settings=settings,
-        variant=variant,
-        output_format=args.format or cfg.output_format,
-        output_path=args.output if args.output is not None else cfg.output_path,
-    )
+        raw.setdefault("variant", {"kind": "coherent"})["epsilon"] = args.epsilon
+    if args.format is not None:
+        put("output", "format", args.format)
+    if args.output is not None:
+        put("output", "path", args.output)
 
 
 def _write(text: str, path: Optional[str]) -> None:
@@ -312,7 +302,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        raw = read_config(args.config)
+        parse_config(raw)  # the file must be valid before a flag edits it
+        _set_flags(raw, args)
+        cfg = parse_config(raw)
         if args.command == "gamma":
             text, code = cmd_gamma(cfg)
         elif args.command == "sweep-power":

@@ -23,7 +23,7 @@ from .units import (
     gamma_per_w_km_to_per_w_m,
 )
 
-__all__ = ["ConfigError", "AppConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "AppConfig", "load_config", "parse_config", "read_config"]
 
 
 class ConfigError(ValueError):
@@ -161,8 +161,9 @@ def _reject_constant(name: str) -> float:
     raise ConfigError(f"non-finite number {name} is not allowed in a config")
 
 
-def load_config(path: str) -> AppConfig:
-    """Read, validate and convert a JSON config file."""
+def read_config(path: str) -> Dict[str, Any]:
+    """Read a JSON config file into its document, before any validation of
+    its keys."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_reject_constant)
@@ -172,4 +173,9 @@ def load_config(path: str) -> AppConfig:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return parse_config(raw)
+    return raw
+
+
+def load_config(path: str) -> AppConfig:
+    """Read, validate and convert a JSON config file."""
+    return parse_config(read_config(path))

@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import Callable, Optional, Tuple, Union
 
+import numpy as np
+
 from .link import DerivedSpan, SpanPlan, SystemConfig, derive_span
 from .quadrature import IntegralReport, QuadratureSettings, log_weighted_integral
 from .units import db_to_linear
@@ -82,17 +84,26 @@ def nl_coefficient_with_report(
     settings: QuadratureSettings = QuadratureSettings(),
 ) -> Tuple[float, DerivedSpan, IntegralReport]:
     """Nonlinear noise coefficient in 1/W^2, with the derived span and the
-    quadrature report behind it."""
+    quadrature report behind it.
+
+    Raises ArithmeticError when the coefficient is not finite, for example
+    when a huge gamma overflows the kernel; that error replaces numpy's
+    overflow and invalid-value warnings.
+    """
     if isinstance(variant, Coherent):
-        d = derive_span(span, sys)
-        report = log_weighted_integral(d, settings)
-        return d.kappa * report.value, d, report
-    if isinstance(variant, SpanScaled):
-        d1 = derive_span(span, replace(sys, span_count=1))
-        report = log_weighted_integral(d1, settings)
+        link, scale = sys, 1.0
+    elif isinstance(variant, SpanScaled):
+        link = replace(sys, span_count=1)
         scale = float(sys.span_count) ** (1.0 + variant.epsilon)
-        return d1.kappa * report.value * scale, d1, report
-    raise TypeError(f"unknown accumulation variant: {variant!r}")
+    else:
+        raise TypeError(f"unknown accumulation variant: {variant!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = derive_span(span, link)
+        report = log_weighted_integral(d, settings)
+    value = d.kappa * report.value * scale
+    if not math.isfinite(value):
+        raise ArithmeticError(f"gamma_nl is not finite: {value!r}")
+    return value, d, report
 
 
 def nl_coefficient(

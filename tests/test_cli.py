@@ -141,18 +141,104 @@ def test_integer_too_large_for_a_float_in_config_is_a_config_error(tmp_path):
         assert b"config error" in res.stderr
 
 
-def test_gamma_non_finite_result_is_a_numerical_error(monkeypatch, capsys):
-    real = cli.nl_coefficient_with_report
+def test_gamma_non_finite_result_is_a_numerical_error(tmp_path):
+    """A gamma so large that gamma_nl overflows: every subcommand that
+    integrates stops with the same one-line message and prints nothing."""
+    raw = json.loads(Path(ATLANTIC_CFG).read_text())
+    raw["span"][0]["gamma_per_w_km"] = 1e300
+    p = tmp_path / "huge_gamma.json"
+    p.write_text(json.dumps(raw))
+    for args in (["gamma"], ["sweep-power"], ["sweep-split", "--step-km", "25"],
+                 ["check"]):
+        res = run_cli(*args, "--config", str(p))
+        assert res.returncode == 3, (args, res.stderr)
+        assert res.stdout == b"", args
+        lines = res.stderr.decode().splitlines()
+        assert len(lines) == 1, (args, lines)
+        assert lines[0].startswith("numerical error: gamma_nl is not finite"), args
 
-    def nan_gamma(*args):
-        _, d, rep = real(*args)
-        return math.nan, d, rep
 
-    monkeypatch.setattr(cli, "nl_coefficient_with_report", nan_gamma)
-    assert cli.main(["gamma", "--config", TOY_CFG]) == 3
+def test_output_dash_writes_to_stdout(tmp_path):
+    to_stdout = run_cli("gamma", "--config", TOY_CFG)
+    res = subprocess.run([sys.executable, "-m", "hybridgn", "gamma", "--config", TOY_CFG,
+                          "--output", "-"], capture_output=True, timeout=300, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == to_stdout.stdout != b""
+    assert list(tmp_path.iterdir()) == []
+
+
+SPAN_SCALED = {"kind": "span_scaled", "epsilon": 0.2}
+
+# flags, the config blocks that set the same keys, the base config's variant
+FLAG_CASES = {
+    "no-truncation": (["--no-truncation"], {"quadrature": {"truncation_enabled": False}},
+                      None),
+    "workers": (["--workers", "3"], {"quadrature": {"workers": 3}}, None),
+    "workers-zero": (["--workers", "0"], {"quadrature": {"workers": 0}}, None),
+    "span-scaled": (["--variant", "span-scaled"], {"variant": {"kind": "span_scaled"}}, None),
+    "span-scaled-keeps-epsilon": (["--variant", "span-scaled"], {}, SPAN_SCALED),
+    "coherent-drops-epsilon": (["--variant", "coherent"], {"variant": {"kind": "coherent"}},
+                               SPAN_SCALED),
+    "epsilon": (["--variant", "span-scaled", "--epsilon", "0.15"],
+                {"variant": {"kind": "span_scaled", "epsilon": 0.15}}, None),
+    "epsilon-on-coherent": (["--epsilon", "0.1"],
+                            {"variant": {"kind": "coherent", "epsilon": 0.1}}, None),
+    "format": (["--format", "json"], {"output": {"format": "json"}}, None),
+    "output-dash": (["--output", "-"], {"output": {"path": "-"}}, None),
+}
+
+
+@pytest.mark.parametrize("case", FLAG_CASES)
+def test_flag_equals_its_config_key(tmp_path, capsys, case):
+    flags, blocks, variant = FLAG_CASES[case]
+
+    def run(edit, argv):
+        raw = json.loads(Path(TOY_CFG).read_text())
+        if variant is not None:
+            raw["variant"] = variant
+        raw.update(edit)
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(raw))
+        code = cli.main(["gamma", "--config", str(p), *argv])
+        return (code, *capsys.readouterr())
+
+    with_flag = run({}, flags)
+    assert with_flag == run(blocks, [])
+    assert with_flag[0] in (0, 2)
+    assert (with_flag[0] == 0) == (with_flag[1] != "")
+
+
+def test_output_flag_writes_the_config_path(tmp_path, capsys):
+    raw = json.loads(Path(TOY_CFG).read_text())
+    raw["output"] = {"path": str(tmp_path / "from_config.csv")}
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["gamma", "--config", str(p)]) == 0
+    assert cli.main(["gamma", "--config", TOY_CFG,
+                     "--output", str(tmp_path / "from_flag.csv")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "from_flag.csv").read_bytes() == \
+        (tmp_path / "from_config.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block, value, flags", [
+    ("quadrature", [], ["--workers", "2"]),
+    ("variant", "coherent", ["--epsilon", "0.1"]),
+    ("variant", "span_scaled", ["--variant", "span-scaled"]),
+    ("output", "json", ["--format", "csv"]),
+], ids=["quadrature-list-workers", "variant-string-epsilon", "variant-string-span-scaled",
+        "output-string-format"])
+def test_malformed_block_is_a_config_error_before_flags(tmp_path, capsys, block, value,
+                                                        flags):
+    raw = json.loads(Path(TOY_CFG).read_text())
+    raw[block] = value
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(raw))
+    assert cli.main(["gamma", "--config", str(p), *flags]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "numerical error:" in err
+    assert err.startswith(f"config error: config invalid at {block}:")
 
 
 def test_output_file_matches_stdout(tmp_path):

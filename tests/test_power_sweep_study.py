@@ -8,12 +8,14 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import hybridgn.engine
 from hybridgn import Coherent, QuadratureSettings, sweep_power
+from hybridgn.config import load_config
 from hybridgn.units import dbm_to_watt
 
 REPO = Path(__file__).resolve().parent.parent
@@ -60,6 +62,14 @@ def test_study_q_columns_equal_sweep_power(tmp_path):
     assert [r[0] for r in rows[1:6]] == ["-1.00", "-0.50", "0.00", "0.50", "1.00"]
     for j, name in enumerate(study.DESIGNS, start=1):
         assert [r[j] for r in rows[1:6]] == columns[name]
+
+
+def test_study_link_is_the_transatlantic_config():
+    cfg = load_config(str(REPO / "configs" / "transatlantic.json"))
+    assert study.SYSTEM == cfg.system
+    assert study.DESIGNS["hybrid"] == cfg.span
+    for seg, ref in zip((study.PREMIUM, study.STANDARD), cfg.span.segments, strict=True):
+        assert replace(seg, length=ref.length) == ref
 
 
 @pytest.mark.parametrize("argv", [

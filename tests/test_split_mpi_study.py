@@ -4,6 +4,7 @@ strength, and argument errors before any integral."""
 import csv
 import importlib.util
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import hybridgn.engine
 import hybridgn.sweep
 from hybridgn import Coherent, QuadratureSettings
+from hybridgn.config import load_config
 from hybridgn.sweep import optimal_split, sweep_split
 from hybridgn.units import linear_to_db, watt_to_dbm
 
@@ -68,6 +70,14 @@ def test_study_csv_equals_per_strength_sweeps(tmp_path):
                          f"{linear_to_db(best.osnr_opt):.3f}",
                          repr(best.q_opt_db)])
     assert _run_study(tmp_path, ARGV) == buf.getvalue()
+
+
+def test_study_link_is_the_transatlantic_config():
+    cfg = load_config(str(REPO / "configs" / "transatlantic.json"))
+    assert study.SYSTEM == cfg.system
+    assert study.SPAN_LENGTH == cfg.span.length
+    for seg, ref in zip((study.PREMIUM, study.STANDARD), cfg.span.segments, strict=True):
+        assert replace(seg, length=ref.length) == ref
 
 
 @pytest.mark.parametrize("argv", [
