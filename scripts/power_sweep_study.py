@@ -14,6 +14,7 @@ Run from the repository root:
 
 import argparse
 import csv
+import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +23,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from hybridgn import SpanPlan, optimal_power, osnr_eff, performance_coeffs, q_factor
+from hybridgn.cli import _write
 from hybridgn.config import load_config
 from hybridgn.sweep import power_grid_dbm
 from hybridgn.units import dbm_to_watt, linear_to_db, watt_to_dbm
@@ -44,7 +46,7 @@ def main(argv=None):
     parser.add_argument("--p-max-dbm", type=float, default=4.0)
     parser.add_argument("--p-step-db", type=float, default=0.5)
     parser.add_argument("-o", "--output", default=None,
-                        help="CSV destination (default stdout)")
+                        help="CSV destination (default or -: stdout)")
     args = parser.parse_args(argv)
     try:
         grid_dbm = power_grid_dbm(args.p_min_dbm, args.p_max_dbm, args.p_step_db)
@@ -56,32 +58,29 @@ def main(argv=None):
     coeffs = {name: performance_coeffs(span, SYSTEM, LINK.variant, LINK.settings)
               for name, span in DESIGNS.items()}
 
-    sink = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        writer = csv.writer(sink)
-        writer.writerow(["p_dbm"] + [f"q_db_{name}" for name in DESIGNS])
-        for power in grid:
-            row = [f"{watt_to_dbm(power):.2f}"]
-            row += [repr(q_factor(osnr_eff(power, coeffs[name]), SYSTEM))
-                    for name in DESIGNS]
-            writer.writerow(row)
+    sink = io.StringIO()
+    writer = csv.writer(sink)
+    writer.writerow(["p_dbm"] + [f"q_db_{name}" for name in DESIGNS])
+    for power in grid:
+        row = [f"{watt_to_dbm(power):.2f}"]
+        row += [repr(q_factor(osnr_eff(power, coeffs[name]), SYSTEM))
+                for name in DESIGNS]
+        writer.writerow(row)
 
-        writer.writerow([])
-        writer.writerow(["design", "gamma_nl_per_w2", "p_opt_dbm",
-                         "osnr_opt_db", "q_opt_db"])
-        for name in DESIGNS:
-            p_opt = optimal_power(coeffs[name])
-            osnr = osnr_eff(p_opt, coeffs[name])
-            writer.writerow([
-                name,
-                repr(coeffs[name].nl),
-                f"{watt_to_dbm(p_opt):.3f}",
-                f"{linear_to_db(osnr):.3f}",
-                f"{q_factor(osnr, SYSTEM):.3f}",
-            ])
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    writer.writerow([])
+    writer.writerow(["design", "gamma_nl_per_w2", "p_opt_dbm",
+                     "osnr_opt_db", "q_opt_db"])
+    for name in DESIGNS:
+        p_opt = optimal_power(coeffs[name])
+        osnr = osnr_eff(p_opt, coeffs[name])
+        writer.writerow([
+            name,
+            repr(coeffs[name].nl),
+            f"{watt_to_dbm(p_opt):.3f}",
+            f"{linear_to_db(osnr):.3f}",
+            f"{q_factor(osnr, SYSTEM):.3f}",
+        ])
+    _write(sink.getvalue(), args.output)
     return 0
 
 

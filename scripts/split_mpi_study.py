@@ -16,6 +16,7 @@ Run from the repository root:
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import replace
@@ -24,6 +25,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from hybridgn.cli import _write
 from hybridgn.config import load_config
 from hybridgn.sweep import apply_mpi, optimal_split, split_step_count, sweep_split
 from hybridgn.units import linear_to_db, watt_to_dbm
@@ -42,7 +44,7 @@ def main(argv=None):
                              "premium length")
     parser.add_argument("--step-km", type=float, default=5.0)
     parser.add_argument("-o", "--output", default=None,
-                        help="CSV destination (default stdout)")
+                        help="CSV destination (default or -: stdout)")
     args = parser.parse_args(argv)
 
     try:
@@ -60,28 +62,25 @@ def main(argv=None):
     physics = sweep_split(PREMIUM, STANDARD, SPAN_LENGTH, SYSTEM, step,
                           LINK.variant, LINK.settings)
 
-    sink = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
-        writer = csv.writer(sink)
-        writer.writerow(["mpi_strength", "best_split_ratio", "best_first_km",
-                         "p_opt_dbm", "osnr_opt_db", "q_opt_db"])
-        for strength in strengths:
-            # penalty proportional to the premium share of the span
-            def mpi_model(first_length, k=strength):
-                return k * first_length / SPAN_LENGTH
+    sink = io.StringIO()
+    writer = csv.writer(sink)
+    writer.writerow(["mpi_strength", "best_split_ratio", "best_first_km",
+                     "p_opt_dbm", "osnr_opt_db", "q_opt_db"])
+    for strength in strengths:
+        # penalty proportional to the premium share of the span
+        def mpi_model(first_length, k=strength):
+            return k * first_length / SPAN_LENGTH
 
-            best = optimal_split(apply_mpi(physics, SYSTEM, mpi_model))
-            writer.writerow([
-                repr(strength),
-                repr(best.split_ratio),
-                f"{best.first_length / 1e3:.1f}",
-                f"{watt_to_dbm(best.p_opt):.3f}",
-                f"{linear_to_db(best.osnr_opt):.3f}",
-                repr(best.q_opt_db),
-            ])
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+        best = optimal_split(apply_mpi(physics, SYSTEM, mpi_model))
+        writer.writerow([
+            repr(strength),
+            repr(best.split_ratio),
+            f"{best.first_length / 1e3:.1f}",
+            f"{watt_to_dbm(best.p_opt):.3f}",
+            f"{linear_to_db(best.osnr_opt):.3f}",
+            repr(best.q_opt_db),
+        ])
+    _write(sink.getvalue(), args.output)
     return 0
 
 

@@ -194,12 +194,18 @@ def cmd_check(cfg: AppConfig, grid_n: int, tolerance: float) -> Tuple[str, int]:
 
 def cmd_bound(cfg: AppConfig, m_list: List[int]) -> Tuple[str, int]:
     d = derive_span(cfg.span, cfg.system)
+    m_max = math.floor(d.zeta_max / math.pi) - 1  # the largest m: (m+1)*pi < zeta_max
+    while m_max >= 1 and not (m_max + 1.0) * math.pi < d.zeta_max:
+        m_max -= 1
+    if m_max < 1:
+        raise ConfigError("the link admits no truncation point: "
+                          f"zeta_max = {d.zeta_max:.6g} is not above 2*pi")
     rows = []
     for m in m_list:
         try:
             tight, loose = truncation_bound(m, d)
         except ValueError as exc:
-            raise ConfigError(f"m={m}: {exc}") from exc
+            raise ConfigError(f"m={m}: {exc}; the largest valid m is {m_max}") from exc
         if not (math.isfinite(tight) and math.isfinite(loose)):
             raise ArithmeticError(f"m={m}: tail bound is not finite: {tight!r}, {loose!r}")
         rows.append((m, (m + 1) * math.pi, tight, loose))
@@ -291,7 +297,8 @@ def _set_flags(raw: Dict[str, Any], args: argparse.Namespace) -> None:
 
 
 def _write(text: str, path: Optional[str]) -> None:
-    if path is None:
+    """Write `text` to the file `path`, or to stdout for None or "-"."""
+    if path in (None, "-"):
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:

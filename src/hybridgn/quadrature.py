@@ -16,8 +16,10 @@ The body's layout is decided in one place, :func:`_pi_panels`: it gives each
 panel its Simpson subinterval count from the panel's nominal length (pi for
 every whole period, so all periods get the same count) and groups
 consecutive panels with equal counts into blocks of at most BLOCK_NODES
-nodes, so no array grows with zeta_max.  Each block is one (panels, n + 1)
-grid of nodes, one kernel call and one product with the Simpson weights.
+nodes, so no array grows with zeta_max.  Each block is one grid of rows
+s_i + tau (s_i a multiple of pi; whole periods share one row of offsets
+tau), one kernel call on that layout and one row sum with the Simpson
+weights, in arrays that the integral's blocks share (grown, not renewed).
 Per block, one vectorised call of :func:`truncation_bound` gives each panel
 that closes a period its tight tail bound.  The body stops at the first such
 panel whose bound is within the target of the estimate head + panels so
@@ -34,7 +36,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import fwm_efficiency, xi
+from .kernel import _buffer, fwm_efficiency, xi
 from .link import DerivedSpan
 
 __all__ = [
@@ -209,8 +211,8 @@ def refined_singular_head(delta: float, d: DerivedSpan,
         raise ValueError("delta must lie in (0, zeta_max]")
     spacing = math.pi / (d.n_spans * settings.nodes_per_oscillation)
     n_sub = max(16, 2 * int(math.ceil(delta / spacing / 2.0)))
-    mass = float(_simpson_block(np.array([0.0]), np.array([delta]), n_sub,
-                                lambda z: xi(z, d))[0])
+    mass = float(_simpson_block(*_rows(np.zeros(1), np.array([delta]), n_sub, False),
+                                lambda z, layout: xi(z, d))[0])
     eta0 = fwm_efficiency(0.0, d)
     return math.log(d.zeta_max / delta) * mass \
         + (eta0 / d.n_spans) * _fejer_log_moment(delta, d.n_spans)
@@ -225,11 +227,11 @@ BLOCK_NODES = 1 << 14
 
 
 def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int,
-               ) -> Iterator[Tuple[np.ndarray, np.ndarray, int, np.ndarray]]:
+               ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Split [lower, upper] at multiples of pi; yield the panels one block at
-    a time as (a, b, n_sub, k): the panel edges a and b, the Simpson
-    subinterval count n_sub that every panel of the block shares, and per
-    panel the period k >= 2 that it closes (b = k*pi < upper), or 0.
+    a time as (s, tau, h, k), in the layout of :func:`_rows`: per panel the
+    start s of its row of nodes s + tau, its Simpson step h and the period
+    k >= 2 that it closes (b = k*pi < upper), or 0.
 
     Below the first pi edge the log weight still varies on the scale of zeta
     itself, so that stretch is subdivided geometrically (each sub-panel about
@@ -249,10 +251,11 @@ def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int,
                           2 * np.ceil(length / math.pi * (n_spans * per_osc) / 2.0)
                           ).astype(np.int64)
 
-    def runs(a, b, n_sub, k):
+    def runs(a, b, n_sub, k, periods):
         cuts = [0, *(np.flatnonzero(np.diff(n_sub)) + 1), len(a)]
         for i, j in zip(cuts[:-1], cuts[1:]):
-            yield a[i:j], b[i:j], int(n_sub[i]), k[i:j]
+            whole = periods and bool(k[i:j].all())
+            yield (*_rows(a[i:j], b[i:j], int(n_sub[i]), whole), k[i:j])
 
     period = int(count(math.pi))
     per_block = max(1, BLOCK_NODES // (period + 1))
@@ -268,47 +271,53 @@ def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int,
     # panel (lower >= pi) can close a period
     a, b = np.array(edges), np.append(edges[1:], min(k * math.pi, upper))
     closes = np.where(b < upper, k if k >= 2 else 0, 0)
-    yield from runs(a, b, count(b - a), closes)
+    yield from runs(a, b, count(b - a), closes, False)
     while b[-1] < upper:
         ks = np.arange(k + 1, k + 1 + per_block)
         ends = np.append(ks[ks * math.pi < upper] * math.pi, upper)[:per_block]
         a, b = np.append(b[-1], ends[:-1]), ends
         closes = np.where(b < upper, ks[:len(b)], 0)
-        yield from runs(a, b, np.where(closes > 0, period, count(b - a)), closes)
+        yield from runs(a, b, np.where(closes > 0, period, count(b - a)), closes, True)
         k += per_block
 
 
-def _default_integrand(d: DerivedSpan) -> Callable[[np.ndarray], np.ndarray]:
-    def f(z: np.ndarray) -> np.ndarray:
-        return np.log(d.zeta_max / z) * xi(z, d)
-    return f
-
-
-def _simpson_block(a: np.ndarray, b: np.ndarray, n_sub: int,
-                   f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Composite-Simpson values of the panels [a_i, b_i] with n_sub
-    subintervals each, from one call of `f` on their (panels, n_sub + 1) grid
-    of nodes.
-
-    Row i follows np.linspace (a_i + j*h_i, last node set to b_i), so each
-    panel sees the same samples as when it is integrated on its own.
-    """
+def _rows(a: np.ndarray, b: np.ndarray, n_sub: int, whole: bool,
+          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layout (s, tau, h) of the panels [a_i, b_i] with n_sub Simpson
+    subintervals each: nodes s_i + tau_i, step h_i = (b_i - a_i) / n_sub.
+    Whole periods (b_i = a_i + pi) start at s_i = a_i and share one row of
+    offsets pi*j/n_sub; other panels start at the multiple of pi at or below
+    a_i (0 below pi, where the nodes are np.linspace(a_i, b_i)), with a row
+    of offsets each."""
     h = (b - a) / n_sub
-    nodes = a[:, None] + h[:, None] * np.arange(n_sub + 1)
-    nodes[:, -1] = b
-    weights = np.full(n_sub + 1, 2.0)
+    if whole:
+        return a, np.linspace(0.0, math.pi, n_sub + 1)[None, :], h
+    s = np.floor(a / math.pi) * math.pi
+    return s, np.linspace(a - s, b - s, n_sub + 1, axis=1), h
+
+
+def _simpson_block(s: np.ndarray, tau: np.ndarray, h: np.ndarray,
+                   f: Callable[[np.ndarray, tuple], np.ndarray], work=None) -> np.ndarray:
+    """Composite-Simpson values of the panels of a layout (s, tau, h) from
+    one call f(nodes, (s, tau)) on their grid, kept in `work` when given.
+    The rows are summed without BLAS, whose threads gain no wall time."""
+    nodes = np.add(s[:, None], tau, out=_buffer(work, "nodes", (len(s), tau.shape[1]), float))
+    weights = np.full(tau.shape[1], 2.0)
     weights[1::2] = 4.0
     weights[[0, -1]] = 1.0
-    return np.asarray(f(nodes), dtype=float) @ weights * h / 3.0
+    return np.einsum("ij,j->i", f(nodes, (s, tau)), weights) * h / 3.0
 
 
 def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
                       settings: QuadratureSettings,
-                      f: Callable[[np.ndarray], np.ndarray],
+                      integrand: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                       head: float = 0.0, truncate: bool = False,
                       ) -> Tuple[float, int, Optional[int], float]:
     """Composite-Simpson sum of the pi-aligned panels of [lower, upper],
     bounded and evaluated one block of :func:`_pi_panels` at a time.
+
+    The integrand is `integrand` or ln(zeta_max/z) xi(z) on the layout; the
+    blocks share the node grid and kernel arrays, grown for a larger block.
 
     With `truncate`, one :func:`truncation_bound` call per block gives each
     panel that closes a period k its tight tail bound (m = k - 1), and the
@@ -316,20 +325,30 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
     far).  Returns (body, panels evaluated, m or None, tight bound at the
     stop or 0).
     """
+    work: dict = {}
+
+    def f(z, layout):
+        if integrand is not None:
+            return integrand(z)
+        weight = _buffer(work, "weight", z.shape, float)
+        np.log(np.divide(d.zeta_max, z, out=weight), out=weight)
+        return np.multiply(weight, xi(z, d, layout, work), out=weight)
+
     target = settings.target_rel_truncation * d.n_spans
     values: List[float] = []
-    for a, b, n_sub, k in _pi_panels(lower, upper, d.n_spans, settings.nodes_per_oscillation):
+    for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, settings.nodes_per_oscillation):
         # NaN where no stop is allowed: it compares false against any estimate
-        bound = np.full(len(a), np.nan)
+        bound = np.full(len(s), np.nan)
         if truncate and k.any():
             bound[k > 0] = truncation_bound(k[k > 0] - 1, d)[0]
         done = head + math.fsum(values)
         if done > 0.0:
-            # the estimate never falls, so the body stops here at the latest
+            # the estimate never falls, so the body stops here at the latest;
+            # a shared row of offsets (tau of one row) stays whole
             admissible = np.flatnonzero(bound <= target * done)
             if admissible.size:
-                a, b, k, bound = (x[:admissible[0] + 1] for x in (a, b, k, bound))
-        block = _simpson_block(a, b, n_sub, f)
+                s, tau, h, k, bound = (x[:admissible[0] + 1] for x in (s, tau, h, k, bound))
+        block = _simpson_block(s, tau, h, f, work)
         estimates = done + np.cumsum(block)
         stops = np.flatnonzero((estimates > 0.0) & (bound <= target * estimates))
         if stops.size:
@@ -356,7 +375,6 @@ def integrate_body(lower: float, upper: float, d: DerivedSpan,
     if integrand is None:
         if not lower > 0.0:
             raise ValueError("the log-weighted integrand needs lower > 0")
-        integrand = _default_integrand(d)
     elif lower < 0.0:
         raise ValueError("lower must be >= 0")
     return _integrate_panels(lower, upper, d, settings, integrand)[0]
@@ -415,8 +433,7 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
     delta = delta_rule(d.n_spans, d.zeta_max, settings)
     head = refined_singular_head(delta, d, settings)
     body, panels, truncation_m, tight = _integrate_panels(
-        delta, d.zeta_max, d, settings, _default_integrand(d),
-        head, settings.truncation_enabled)
+        delta, d.zeta_max, d, settings, None, head, settings.truncation_enabled)
     return IntegralReport(
         value=head + body,
         head=head,

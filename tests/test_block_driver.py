@@ -21,6 +21,7 @@ from hybridgn import (
     derive_span,
     integrate_body,
     log_weighted_integral,
+    nl_coefficient,
     refined_singular_head,
     truncation_bound,
     xi,
@@ -172,23 +173,27 @@ def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
     holding the stop may reach past the truncation period."""
     d = CASES[case]()
     settings = QuadratureSettings()
-    tops = []
+    starts = []
     real_xi = quadrature.xi
 
-    def recording_xi(zeta, *args, **kwargs):
-        tops.append(float(np.max(zeta)))
-        return real_xi(zeta, *args, **kwargs)
+    def recording_xi(zeta, d, layout=None, work=None):
+        if layout is not None:
+            # the first node of the last row: s + tau is exact there, while
+            # the top node s + pi need not round to the panel end
+            s, tau = layout
+            starts.append(float(s[-1] + tau[-1, 0]))
+        return real_xi(zeta, d, layout, work)
 
     monkeypatch.setattr(quadrature, "xi", recording_xi)
     rep = log_weighted_integral(d, settings)
     stop = (rep.truncation_m + 1) * math.pi
 
-    blocks = tops[1:]  # the first kernel call is the head
-    assert blocks and rep.truncation_m is not None
-    # the top node of a block is the end of its last panel
-    ends = reference_layout(rep.delta, d.zeta_max)[1]
-    last_panel = np.searchsorted(ends, blocks)
-    assert np.array_equal(ends[last_panel], blocks)
+    assert starts and rep.truncation_m is not None
+    # the last row of a block starts a panel; the block ends where it ends
+    lowers, ends = reference_layout(rep.delta, d.zeta_max)[:2]
+    last_panel = np.searchsorted(lowers, starts)
+    assert np.array_equal(lowers[last_panel], starts)
+    blocks = ends[last_panel]
     # the stop lies in the last block
     first_panel = np.concatenate(([0], last_panel[:-1] + 1))
     assert first_panel[-1] < rep.panels_evaluated <= last_panel[-1] + 1
@@ -206,26 +211,41 @@ def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
     each laid out as one panels x nodes grid; every whole period gets the
     subinterval count of pi, 60 * 16 at N = 60."""
     d = _coherent(SpanPlan((QSMF, SMF)), 60)
-    grids = []
+    blocks = []
     real_xi = quadrature.xi
 
-    def recording_xi(zeta, *args, **kwargs):
-        grids.append(np.array(zeta, copy=True))
-        return real_xi(zeta, *args, **kwargs)
+    def recording_xi(zeta, d, layout=None, work=None):
+        if layout is not None:
+            s, tau = layout
+            blocks.append((np.shape(zeta), s.copy(), tau.copy()))
+        return real_xi(zeta, d, layout, work)
 
     monkeypatch.setattr(quadrature, "xi", recording_xi)
     rep = log_weighted_integral(d, QuadratureSettings())
-    body = grids[1:]  # the first kernel call is the head
-    assert max(g.size for g in body) <= quadrature.BLOCK_NODES
-    assert len(body) < rep.panels_evaluated / 10
-    assert all(g.ndim == 2 for g in body)
+    assert max(math.prod(shape) for shape, _, _ in blocks) <= quadrature.BLOCK_NODES
+    assert len(blocks) < rep.panels_evaluated / 10
+    assert all(len(shape) == 2 for shape, _, _ in blocks)
     periods = 0
-    for g in body:
-        k = np.rint(g[:, 0] / math.pi)
-        if np.all((k >= 1) & (g[:, 0] == k * math.pi) & (g[:, -1] == (k + 1) * math.pi)):
-            assert g.shape[1] == 60 * 16 + 1
-            periods += g.shape[0]
+    for shape, s, tau in blocks:
+        k = np.rint(s / math.pi)
+        # rows k pi + tau with one shared row of offsets from 0 to pi
+        if (np.all((k >= 1) & (s == k * math.pi)) and len(tau) == 1
+                and tau[0, 0] == 0.0 and tau[0, -1] == math.pi):
+            assert shape[1] == 60 * 16 + 1
+            periods += len(s)
     assert periods >= rep.truncation_m  # the periods [pi, 2 pi] .. [m pi, (m+1) pi]
+
+
+def test_a_repeated_integral_keeps_its_pages():
+    """The node grid and the kernel's arrays are allocated once per integral
+    and kept across blocks, so a second 80-channel N = 60 gamma_nl takes few
+    minor page faults (about 51k when every block allocated its own)."""
+    resource = pytest.importorskip("resource")
+    span, system = SpanPlan((QSMF, SMF)), replace(ATLANTIC, span_count=60, channel_count=80)
+    nl_coefficient(span, system)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    nl_coefficient(span, system)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
 
 
 def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):
@@ -238,12 +258,19 @@ def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):
 
 
 def test_block_nodes_follow_linspace():
-    """A block lays out each panel's nodes exactly as np.linspace would, one
-    row per panel."""
+    """A block lays out each panel's nodes as np.linspace would, one row per
+    panel: exactly for rows of their own that start at 0 or at a multiple of
+    pi, and to the rounding of s + tau for whole periods, which share one
+    row of offsets."""
     a = np.array([0.3, math.pi, 2.0 * math.pi])
     b = np.array([math.pi, 2.0 * math.pi, 3.0 * math.pi])
     n_sub = 3200
-    seen = []
-    quadrature._simpson_block(a, b, n_sub, lambda z: seen.append(z.copy()) or np.ones_like(z))
     expected = np.array([np.linspace(a[i], b[i], n_sub + 1) for i in range(3)])
-    assert np.array_equal(seen[0], expected)
+    for whole, rows in ((False, slice(None)), (True, slice(1, None))):
+        seen = []
+        quadrature._simpson_block(*quadrature._rows(a[rows], b[rows], n_sub, whole),
+                                  lambda z, layout: seen.append(z.copy()) or np.ones_like(z))
+        if whole:
+            assert np.allclose(seen[0], expected[rows], rtol=0.0, atol=np.spacing(b[-1]))
+        else:
+            assert np.array_equal(seen[0], expected[rows])

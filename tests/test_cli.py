@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from hybridgn import cli
+from hybridgn import cli, derive_span
+from hybridgn.config import load_config
 
 REPO = Path(__file__).resolve().parent.parent
 ATLANTIC_CFG = str(REPO / "configs" / "transatlantic.json")
@@ -388,6 +389,33 @@ def test_bound_non_finite_is_a_numerical_error(tmp_path):
 def test_bound_rejects_out_of_range_m():
     res = run_cli("bound", "--config", ATLANTIC_CFG, "--m-list", "5,600")
     assert res.returncode == 2
+
+
+def _zeta_max(path):
+    cfg = load_config(path)
+    return derive_span(cfg.span, cfg.system).zeta_max
+
+
+def test_bound_names_the_largest_valid_m():
+    zeta_max = _zeta_max(ATLANTIC_CFG)
+    largest = max(m for m in range(1, 2000) if (m + 1) * math.pi < zeta_max)
+    res = run_cli("bound", "--config", ATLANTIC_CFG, "--m-list", "5,600")
+    assert res.returncode == 2 and res.stdout == b""
+    assert f"m=600: truncation point (m+1)*pi must lie below zeta_max; " \
+           f"the largest valid m is {largest}" in res.stderr.decode()
+    assert largest == 345  # zeta_max = 1.089e3 on the reference link
+
+
+@pytest.mark.parametrize("m_list", ["5,10,20,50", "1"])
+def test_bound_on_a_link_without_truncation_point(m_list):
+    """The toy link has zeta_max < 2 pi, so no m >= 1 is valid: the error
+    says so, whichever m were asked for."""
+    zeta_max = _zeta_max(TOY_CFG)
+    assert zeta_max <= 2.0 * math.pi
+    res = run_cli("bound", "--config", TOY_CFG, "--m-list", m_list)
+    assert res.returncode == 2 and res.stdout == b""
+    assert res.stderr.decode() == ("config error: the link admits no truncation point: "
+                                   f"zeta_max = {zeta_max:.6g} is not above 2*pi\n")
 
 
 def test_bound_rejects_malformed_m_list():

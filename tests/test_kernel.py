@@ -275,3 +275,50 @@ def test_xi_2d_grid(d_atlantic):
     grid = np.linspace(0.0, 3.0, 16).reshape(4, 4)
     assert np.array_equal(xi(grid, d_atlantic),
                           xi(grid.ravel(), d_atlantic).reshape(4, 4))
+
+
+# ---------------------------------------------------------------------------
+# period layouts
+
+#: A segment without loss: its quotient takes the series branch at zeta = 0.
+LOSSLESS = replace(SMF, name="lossless", attenuation=0.0)
+
+
+def _simpson_rows(values):
+    w = np.full(values.shape[-1], 2.0)
+    w[1::2] = 4.0
+    w[[0, -1]] = 1.0
+    return values @ w
+
+
+@pytest.mark.parametrize("n_spans", [1, 2, 60, 200])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+@pytest.mark.parametrize("second", [SMF, LOSSLESS], ids=["smf", "lossless"])
+def test_xi_on_a_layout_matches_the_explicit_grid(n_spans, shared, second):
+    """xi on the layout (s, tau) equals xi on the grid s_i + tau_j panel by
+    panel: phi is taken on tau and each phase is a row times an offset
+    factor, which moves only the rounding."""
+    d = derive_span(SpanPlan((QSMF, second)), replace(ATLANTIC, span_count=n_spans))
+    n_sub = max(32, 16 * n_spans)
+    s = np.array([0, 1, 2, 7, 30, 49, 50]) * math.pi
+    if shared:
+        tau = np.linspace(0.0, math.pi, n_sub + 1)[None, :]
+    else:
+        lo = np.linspace(0.0, 2.5, len(s))
+        tau = np.linspace(lo, lo + np.linspace(0.3, math.pi, len(s)), n_sub + 1, axis=1)
+    zeta = s[:, None] + tau
+    ours = _simpson_rows(xi(zeta, d, layout=(s, tau)))
+    ref = _simpson_rows(xi(zeta, d))
+    assert np.all(np.abs(ours - ref) <= 1e-11 * np.abs(ref))
+
+
+def test_xi_work_buffers_give_the_same_values(d_atlantic):
+    """Reusing one work dict across layouts of different sizes, larger first,
+    returns what fresh arrays return."""
+    work = {}
+    for rows, cols in ((5, 961), (2, 33), (7, 961)):
+        s = np.arange(1, rows + 1) * math.pi
+        tau = np.linspace(0.0, math.pi, cols)[None, :]
+        zeta = s[:, None] + tau
+        fresh = xi(zeta, d_atlantic, layout=(s, tau))
+        assert np.array_equal(xi(zeta, d_atlantic, layout=(s, tau), work=work), fresh)

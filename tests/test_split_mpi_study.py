@@ -48,6 +48,14 @@ def _run_study(tmp_path, argv):
         return fh.read()
 
 
+def test_output_dash_writes_to_stdout(tmp_path, monkeypatch, capsys):
+    """-o - means stdout, as the CLI's --output - does; no file named -."""
+    monkeypatch.chdir(tmp_path)
+    assert study.main([*ARGV, "-o", "-"]) == 0
+    assert not (tmp_path / "-").exists()
+    assert capsys.readouterr().out == _run_study(tmp_path, ARGV)
+
+
 def test_study_computes_each_split_once(tmp_path, monkeypatch):
     calls = _count_nl_calls(monkeypatch)
     _run_study(tmp_path, ARGV)
