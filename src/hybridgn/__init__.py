@@ -15,7 +15,6 @@ from .quadrature import (
     integrate_body,
     log_weighted_integral,
     refined_singular_head,
-    sine_integral,
     truncation_bound,
 )
 from .engine import (
@@ -57,7 +56,6 @@ __all__ = [
     "integrate_body",
     "log_weighted_integral",
     "refined_singular_head",
-    "sine_integral",
     "truncation_bound",
     "Coherent",
     "GnVariant",

@@ -137,11 +137,13 @@ def performance_coeffs(
     settings: QuadratureSettings = QuadratureSettings(),
 ) -> PerformanceCoeffs:
     """Assemble all three OSNR denominator coefficients for one link."""
-    return PerformanceCoeffs(
-        ase=ase_coefficient(span, sys),
-        mpi=(1.0 - sys.mpi_compensation) * sys.mpi_coeff,
-        nl=nl_coefficient(span, sys, variant, settings),
-    )
+    return _assemble_coeffs(ase_coefficient(span, sys),
+                            nl_coefficient(span, sys, variant, settings), sys)
+
+
+def _assemble_coeffs(ase: float, nl: float, sys: SystemConfig) -> PerformanceCoeffs:
+    """OSNR denominator coefficients with the compensated MPI of `sys`."""
+    return PerformanceCoeffs(ase=ase, mpi=(1.0 - sys.mpi_compensation) * sys.mpi_coeff, nl=nl)
 
 
 def osnr_eff(power: float, coeffs: PerformanceCoeffs) -> float:

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence
 from .engine import (
     Coherent,
     GnVariant,
-    PerformanceCoeffs,
+    _assemble_coeffs,
     optimal_power,
     osnr_eff,
     performance_coeffs,
@@ -206,9 +206,9 @@ def apply_mpi(
     for row in rows:
         row_sys = sys if mpi_model is None else replace(
             sys, mpi_coeff=mpi_model(row.first_length))
-        mpi = (1.0 - row_sys.mpi_compensation) * row_sys.mpi_coeff
-        osnr = osnr_eff(row.p_opt, PerformanceCoeffs(ase=row.ase, mpi=mpi, nl=row.gamma_nl))
-        out.append(replace(row, mpi=mpi, osnr_opt=osnr, q_opt_db=q_factor(osnr, row_sys)))
+        coeffs = _assemble_coeffs(row.ase, row.gamma_nl, row_sys)
+        osnr = osnr_eff(row.p_opt, coeffs)
+        out.append(replace(row, mpi=coeffs.mpi, osnr_opt=osnr, q_opt_db=q_factor(osnr, row_sys)))
     return out
 
 

@@ -15,12 +15,14 @@ from hybridgn import (
     fwm_efficiency,
     integrate_body,
     log_weighted_integral,
+    phased_array,
     refined_singular_head,
     truncation_bound,
     xi,
 )
-from hybridgn.quadrature import _fejer_log_moment
-from conftest import ATLANTIC, QSMF, SMF, TOY, fejer_running_integral, singular_head
+from hybridgn.quadrature import _HEAD_U, _HEAD_W
+from conftest import (ATLANTIC, QSMF, SMF, TOY, fejer_log_moment, fejer_running_integral,
+                      singular_head)
 
 
 def _xi_scalar(z, d):
@@ -124,7 +126,8 @@ def test_head_respects_envelope_bound(hybrid_span, settings):
     # head <= Gamma^2/sigma^2 (ln(zeta_max/delta) + 1) delta for any delta
     for n_spans in (1, 8, 60):
         d = derive_span(hybrid_span, replace(ATLANTIC, span_count=n_spans))
-        for delta in (1e-3, 1e-2, 0.2):
+        # 0.0866 lies just inside the head's domain 3*sqrt(3)/60
+        for delta in (1e-3, 1e-2, 0.2 if n_spans < 60 else 0.0866):
             cap = d.gamma_bound ** 2 / d.sigma ** 2 \
                 * (math.log(d.zeta_max / delta) + 1.0) * delta
             assert singular_head(delta, d) <= cap
@@ -148,24 +151,58 @@ def test_head_rejects_delta_outside_range(d_atlantic, settings):
         refined_singular_head(0.0, d_atlantic, settings)
 
 
+def test_head_domain_ends_at_the_largest_cut(hybrid_span, settings):
+    # the head's rule holds for delta <= 3*sqrt(3)/n_spans, which is the cut
+    # at delta_safety = 1; that cut must pass and anything above it fail
+    for n_spans in (1, 60, 1000):
+        d = derive_span(hybrid_span, replace(ATLANTIC, span_count=n_spans))
+        radius = delta_rule(n_spans, d.zeta_max, QuadratureSettings(delta_safety=1.0))
+        assert radius == pytest.approx(3.0 * math.sqrt(3.0) / n_spans, rel=1e-15)
+        assert refined_singular_head(radius, d, settings) > 0.0
+        with pytest.raises(ValueError):
+            refined_singular_head(math.nextafter(radius, math.inf), d, settings)
+        with pytest.raises(ValueError):
+            refined_singular_head(1.01 * radius, d, settings)
+
+
+def _n_phi(n):
+    """n_spans * phi as its cosine sum, sharing no code with phased_array."""
+    j = np.arange(1, n)
+    w = 2.0 * (1.0 - j / n)
+    return lambda z: 1.0 + float(np.cos(2.0 * z * j) @ w)
+
+
+def _gauss_log_moment(x, n):
+    """int_0^x ln(x/z) n*phi(z) dz by the head's Gauss rule in ln(x/z)."""
+    return n * x * float(_HEAD_W @ phased_array(x * _HEAD_U, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 60, 200, 1000])
+def test_head_log_moment_matches_oracles(n):
+    """The head's rule over its domain n x <= 3*sqrt(3), against the closed
+    Fejer form x + sum_j (1/j - 1/N) Si(2 j x) with Si from scipy, and for
+    small n against adaptive log-weighted quadrature of the cosine sum."""
+    for nx in np.linspace(0.0, 3.0 * math.sqrt(3.0), 41)[1:]:
+        x = nx / n
+        assert _gauss_log_moment(x, n) == pytest.approx(fejer_log_moment(x, n), rel=1e-13)
+    if n > 9:
+        return
+    for nx in (0.6, 2.2, 5.1):
+        x = nx / n
+        plain = integrate.quad(_n_phi(n), 0.0, x, limit=200)[0]
+        logged = integrate.quad(_n_phi(n), 0.0, x, weight="alg-loga",
+                                wvar=(0.0, 0.0), limit=200)[0]
+        assert _gauss_log_moment(x, n) == pytest.approx(
+            math.log(x) * plain - logged, rel=1e-10)
+
+
 def test_fejer_antiderivatives_match_quadrature():
-    """White-box check of the two Fejer antiderivatives against adaptive
+    """White-box check of the running Fejer antiderivative against adaptive
     quadrature of the cosine-sum integrand."""
     for n in (2, 4, 9):
-        j = np.arange(1, n)
-        w = 2.0 * (1.0 - j / n)
-
-        def n_phi(z):
-            return 1.0 + float(np.cos(2.0 * z * j) @ w)
-
         for x in (0.3, 1.1, 2.9):
-            run_ref = integrate.quad(n_phi, 0.0, x, limit=200)[0]
+            run_ref = integrate.quad(_n_phi(n), 0.0, x, limit=200)[0]
             assert fejer_running_integral(x, n) == pytest.approx(run_ref, rel=1e-12)
-            plain = run_ref
-            logged = integrate.quad(n_phi, 0.0, x, weight="alg-loga",
-                                    wvar=(0.0, 0.0), limit=200)[0]
-            moment_ref = math.log(x) * plain - logged
-            assert _fejer_log_moment(x, n) == pytest.approx(moment_ref, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +360,18 @@ def test_driver_truncation_pins(d_atlantic, d_toy, settings):
     rep = log_weighted_integral(d_atlantic, loose)
     assert rep.truncation_m is not None and rep.truncation_m <= 5
     assert truncation_bound(rep.truncation_m, d_atlantic)[0] <= d_atlantic.n_spans * rep.value
+
+
+def test_driver_stops_at_once_without_nonlinearity(hybrid_span, settings):
+    # every gamma = 0: the integral and every tail bound are exactly 0, so the
+    # first whole period already meets the target
+    span = SpanPlan(tuple(replace(seg, gamma=0.0) for seg in hybrid_span.segments))
+    d = derive_span(span, replace(ATLANTIC, channel_count=80))
+    rep = log_weighted_integral(d, settings)
+    assert rep.value == 0.0
+    assert rep.truncation_m == 1
+    assert rep.tail_bound == 0.0
+    assert rep.panels_evaluated <= 20
 
 
 # ---------------------------------------------------------------------------
