@@ -112,18 +112,11 @@ def phased_array(zeta, n_spans: int):
     if n_spans < 1:
         raise ValueError("n_spans must be >= 1")
     z = np.asarray(zeta, dtype=float)
-    scalar = z.ndim == 0
-    z1 = np.atleast_1d(z).ravel()
-
-    if n_spans == 1:
-        phi = np.ones_like(z1)
-    else:
-        t = z1 - np.pi * np.round(z1 / np.pi)
-        den = n_spans * np.sin(t)
-        ratio = np.divide(np.sin(n_spans * t), den, out=np.ones_like(t), where=den != 0.0)
-        phi = np.minimum(ratio * ratio, 1.0)
-    phi = phi.reshape(np.atleast_1d(z).shape)
-    return float(phi[0]) if scalar else phi
+    t = z - np.pi * np.round(z / np.pi)
+    den = n_spans * np.sin(t)
+    ratio = np.divide(np.sin(n_spans * t), den, out=np.ones_like(t), where=den != 0.0)
+    phi = np.minimum(ratio * ratio, 1.0)
+    return float(phi) if z.ndim == 0 else phi
 
 
 def xi(zeta, d: DerivedSpan, layout=None, work=None):

@@ -20,7 +20,9 @@ consecutive panels with equal counts into blocks of at most BLOCK_NODES
 nodes, so no array grows with zeta_max.  Each block is one grid of rows
 s_i + tau (s_i a multiple of pi; whole periods share one row of offsets
 tau), one kernel call on that layout and one row sum with the Simpson
-weights, in arrays that the integral's blocks share (grown, not renewed).
+weights, in arrays that each thread keeps across its integrals (grown, not
+renewed; those past one block of BLOCK_NODES nodes go when their integral
+returns).
 Per block, one vectorised call of :func:`truncation_bound` gives each panel
 that closes a period its tight tail bound.  The body stops at the first such
 panel whose bound is within the target of the estimate head + panels so
@@ -32,6 +34,8 @@ math.fsum sums the kept panels, so the result does not depend on the blocks.
 from __future__ import annotations
 
 import math
+import numbers
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -90,6 +94,11 @@ class QuadratureSettings:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta_safety <= 1.0:
             raise ValueError("delta_safety must lie in (0, 1]")
+        for name in ("nodes_per_oscillation", "workers"):
+            value = getattr(self, name)
+            # bool is an Integral; numpy integers are too
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # float() raises OverflowError past a float
         if not 2 <= float(self.nodes_per_oscillation) <= MAX_NODES_PER_OSCILLATION:
             raise ValueError("nodes_per_oscillation must lie in "
@@ -122,15 +131,29 @@ class IntegralReport:
 # head
 
 
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1]: four Newton steps on P_n, evaluated by its three-term
+    recurrence, from the estimates cos((i - 1/4) pi / (n + 1/2)), then the
+    weights 2 / ((1 - x^2) P_n'(x)^2)."""
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for step in range(5):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        if step < 4:
+            x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 #: The head's rule for int_0^1 ln(1/u) f(u) du = int_0^inf t e^{-t} f(e^{-t}) dt:
 #: 80 Gauss-Legendre nodes t on [0, 40], past which t e^{-t} integrates to
-#: 41 e^{-40} < 2e-16, as nodes u = e^{-t} and weights w t e^{-t}.  The rule
-#: is the eigensystem of the Legendre Jacobi matrix (Golub-Welsch).
-_k = np.arange(1.0, 80.0)
-_HEAD_T, _v = np.linalg.eigh(np.diag(_k / np.sqrt(4.0 * _k * _k - 1.0), -1))
+#: 41 e^{-40} < 2e-16, as nodes u = e^{-t} and weights w t e^{-t}.
+_HEAD_T, _HEAD_W = _gauss_legendre(80)
 _HEAD_T = 20.0 * (_HEAD_T + 1.0)
 _HEAD_U = np.exp(-_HEAD_T)
-_HEAD_W = 40.0 * _v[0] ** 2 * _HEAD_T * _HEAD_U
+_HEAD_W = 20.0 * _HEAD_W * _HEAD_T * _HEAD_U
 
 #: n_spans times the head's largest delta, of which the head cut is a fraction.
 _HEAD_REACH = 3.0 * math.sqrt(3.0)
@@ -180,6 +203,11 @@ def refined_singular_head(delta: float, d: DerivedSpan,
 #: Kernel nodes per block of periods at most (a period with more nodes than
 #: that is a block of its own).
 BLOCK_NODES = 1 << 14
+
+#: Each thread's node grid and kernel arrays, kept across its integrals so
+#: that repeated integrals reuse their pages; arrays larger than a block of
+#: BLOCK_NODES nodes are released when their integral returns.
+_BLOCK_ARRAYS = threading.local()
 
 
 def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int,
@@ -265,74 +293,69 @@ def _simpson_block(s: np.ndarray, tau: np.ndarray, h: np.ndarray,
 
 
 def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
-                      settings: QuadratureSettings,
-                      integrand: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                      head: float = 0.0, truncate: bool = False,
-                      ) -> Tuple[float, int, Optional[int], float]:
-    """Composite-Simpson sum of the pi-aligned panels of [lower, upper],
-    bounded and evaluated one block of :func:`_pi_panels` at a time.
+                      settings: QuadratureSettings, head: float = 0.0,
+                      truncate: bool = False) -> Tuple[float, int, Optional[int], float]:
+    """Composite-Simpson sum of ln(zeta_max/z) xi(z) over the pi-aligned
+    panels of [lower, upper], bounded and evaluated one block of
+    :func:`_pi_panels` at a time.
 
-    The integrand is `integrand` or ln(zeta_max/z) xi(z) on the layout; the
-    blocks share the node grid and kernel arrays, grown for a larger block.
-
-    With `truncate`, one :func:`truncation_bound` call per block gives each
-    panel that closes a period k its tight tail bound (m = k - 1), and the
-    sum stops at the first one whose bound is <= target * (head + panels so
-    far).  Returns (body, panels evaluated, m or None, tight bound at the
-    stop or 0).
+    The blocks share this thread's node grid and kernel arrays, grown for a
+    larger block.  With `truncate`, one :func:`truncation_bound` call per block
+    gives each panel that closes a period k its tight tail bound (m = k - 1),
+    and the sum stops at the first one whose bound is <= target * (head +
+    panels so far).  Returns (body, panels evaluated, m or None, tight bound
+    at the stop or 0).
     """
-    work: dict = {}
+    work: dict = vars(_BLOCK_ARRAYS)  # this thread's own dict
 
     def f(z, layout):
-        if integrand is not None:
-            return integrand(z)
         weight = _buffer(work, "weight", z.shape, float)
         np.log(np.divide(d.zeta_max, z, out=weight), out=weight)
         return np.multiply(weight, xi(z, d, layout, work), out=weight)
 
     target = settings.target_rel_truncation * d.n_spans
     values: List[float] = []
-    for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, settings.nodes_per_oscillation):
-        # NaN where no stop is allowed: it compares false against any estimate
-        bound = np.full(len(s), np.nan)
-        if truncate and k.any():
-            bound[k > 0] = truncation_bound(k[k > 0] - 1, d)[0]
-        done = head + math.fsum(values)
-        # the estimate never falls, so the body stops here at the latest (a 0
-        # bound stops a 0 estimate); a shared row of offsets (tau of one row) stays whole
-        admissible = np.flatnonzero(bound <= target * done)
-        if admissible.size:
-            s, tau, h, k, bound = (x[:admissible[0] + 1] for x in (s, tau, h, k, bound))
-        block = _simpson_block(s, tau, h, f, work)
-        estimates = done + np.cumsum(block)
-        stops = np.flatnonzero(bound <= target * estimates)
-        if stops.size:
-            stop = int(stops[0])
-            values.extend(block[:stop + 1].tolist())
-            return math.fsum(values), len(values), int(k[stop]) - 1, float(bound[stop])
-        values.extend(block.tolist())
-    return math.fsum(values), len(values), None, 0.0
+    try:
+        for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, settings.nodes_per_oscillation):
+            # NaN where no stop is allowed: it compares false against any estimate
+            bound = np.full(len(s), np.nan)
+            if truncate and k.any():
+                bound[k > 0] = truncation_bound(k[k > 0] - 1, d)[0]
+            done = head + math.fsum(values)
+            # the estimate never falls, so the body stops here at the latest (a
+            # 0 bound stops a 0 estimate); a shared row of offsets (tau of one
+            # row) stays whole
+            admissible = np.flatnonzero(bound <= target * done)
+            if admissible.size:
+                s, tau, h, k, bound = (x[:admissible[0] + 1] for x in (s, tau, h, k, bound))
+            block = _simpson_block(s, tau, h, f, work)
+            estimates = done + np.cumsum(block)
+            stops = np.flatnonzero(bound <= target * estimates)
+            if stops.size:
+                stop = int(stops[0])
+                values.extend(block[:stop + 1].tolist())
+                return math.fsum(values), len(values), int(k[stop]) - 1, float(bound[stop])
+            values.extend(block.tolist())
+        return math.fsum(values), len(values), None, 0.0
+    finally:
+        for name in [n for n, a in work.items() if a.size > BLOCK_NODES]:
+            del work[name]
 
 
 def integrate_body(lower: float, upper: float, d: DerivedSpan,
-                   settings: QuadratureSettings,
-                   integrand: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
-    """Composite-Simpson integral over [lower, upper] on pi-aligned panels.
-
-    The default integrand is the log-weighted kernel ln(zeta_max/z) xi(z),
-    which requires lower > 0; a custom `integrand` (used by tests and by the
-    2-D cross-check) may integrate from zero.
+                   settings: QuadratureSettings) -> float:
+    """Composite-Simpson integral of the log-weighted kernel
+    ln(zeta_max/z) xi(z) over [lower, upper], 0 < lower < upper <= zeta_max,
+    on pi-aligned panels: the body that :func:`log_weighted_integral` sums,
+    without truncation.
     """
     if not upper > lower:
         raise ValueError("upper must exceed lower")
     if upper > d.zeta_max * (1.0 + 1e-12):
         raise ValueError("upper must not exceed zeta_max")
-    if integrand is None:
-        if not lower > 0.0:
-            raise ValueError("the log-weighted integrand needs lower > 0")
-    elif lower < 0.0:
-        raise ValueError("lower must be >= 0")
-    return _integrate_panels(lower, upper, d, settings, integrand)[0]
+    if not lower > 0.0:
+        raise ValueError("the log-weighted integrand needs lower > 0")
+    return _integrate_panels(lower, upper, d, settings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +411,7 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
     delta = delta_rule(d.n_spans, d.zeta_max, settings)
     head = refined_singular_head(delta, d, settings)
     body, panels, truncation_m, tight = _integrate_panels(
-        delta, d.zeta_max, d, settings, None, head, settings.truncation_enabled)
+        delta, d.zeta_max, d, settings, head, settings.truncation_enabled)
     return IntegralReport(
         value=head + body,
         head=head,

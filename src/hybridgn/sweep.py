@@ -162,13 +162,13 @@ def sweep_split(
     step: float,
     variant: GnVariant = Coherent(),
     settings: QuadratureSettings = QuadratureSettings(),
-    mpi_model: Optional[Callable[[float], float]] = None,
 ) -> List[SplitSweepRow]:
     """Sweep the leading-fiber length from 0 to the full span.
 
     `step` is checked by `split_step_count`.  Each split's span physics
     (gamma_nl, ASE, optimal launch power) is computed once, then
-    `apply_mpi(rows, sys, mpi_model)` fills in the MPI-dependent fields.
+    `apply_mpi(rows, sys)` fills in the MPI-dependent fields; another MPI
+    model is `apply_mpi(sweep_split(...), sys, model)`.
     """
     n_steps = split_step_count(span_length, step)
     rows = []
@@ -186,7 +186,7 @@ def sweep_split(
             osnr_opt=math.nan,
             q_opt_db=math.nan,
         ))
-    return apply_mpi(rows, sys, mpi_model)
+    return apply_mpi(rows, sys)
 
 
 def apply_mpi(

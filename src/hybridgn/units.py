@@ -54,24 +54,3 @@ def gamma_per_w_km_to_per_w_m(gamma_per_w_km: float) -> float:
     """Convert a nonlinear coefficient from 1/(W km) to 1/(W m)."""
     return gamma_per_w_km / 1e3
 
-
-def gamma_from_aeff(n2: float, wavelength: float, a_eff: float) -> float:
-    """Nonlinear coefficient from the Kerr index and effective area.
-
-    Parameters
-    ----------
-    n2 : float
-        Nonlinear refractive index in m^2/W.
-    wavelength : float
-        Carrier wavelength in m.
-    a_eff : float
-        Effective mode area in m^2.
-
-    Returns
-    -------
-    float
-        gamma = 2 pi n2 / (wavelength * a_eff) in 1/(W m).
-    """
-    if wavelength <= 0.0 or a_eff <= 0.0:
-        raise ValueError("wavelength and effective area must be positive")
-    return 2.0 * math.pi * n2 / (wavelength * a_eff)

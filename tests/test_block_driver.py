@@ -7,7 +7,11 @@ decisions on the same panels and agree on the value to rounding.
 """
 
 import math
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,15 +241,90 @@ def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
 
 
 def test_a_repeated_integral_keeps_its_pages():
-    """The node grid and the kernel's arrays are allocated once per integral
-    and kept across blocks, so a second 80-channel N = 60 gamma_nl takes few
-    minor page faults (about 51k when every block allocated its own)."""
+    """The node grid and the kernel's arrays are kept across blocks, so a
+    second 80-channel N = 60 gamma_nl takes few minor page faults (about 51k
+    when every block allocated its own)."""
     resource = pytest.importorskip("resource")
     span, system = SpanPlan((QSMF, SMF)), replace(ATLANTIC, span_count=60, channel_count=80)
     nl_coefficient(span, system)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     nl_coefficient(span, system)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+# One op of four single-span integrals, repeated in a fresh interpreter after
+# a LAPACK call, whose set-up changes how the allocator returns freed pages;
+# prints the minor page faults of the repeated op.
+REPEATED_OP = """
+import resource, sys
+from dataclasses import replace
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from conftest import ATLANTIC, QSMF, SMF
+from hybridgn import SpanPlan, SpanScaled, nl_coefficient
+np.linalg.eigh(np.eye(3))
+span = SpanPlan((QSMF, SMF))
+systems = [replace(ATLANTIC, channel_count=c) for c in (9, 20, 40, 80)]
+def op():
+    for system in systems:
+        nl_coefficient(span, system, SpanScaled(0.05))
+op()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+op()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_block_arrays_outlive_the_integral():
+    """A thread keeps its block arrays from one integral to the next, so a
+    repeated op of four integrals takes few minor page faults whatever the
+    process did before (about 1,500 when each integral allocated its own)."""
+    pytest.importorskip("resource")
+    tests = Path(__file__).resolve().parent
+    res = subprocess.run([sys.executable, "-c", REPEATED_OP, str(tests)],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout.split()[-1]) < 300
+
+
+def test_block_arrays_larger_than_a_block_are_released(d_atlantic):
+    """Periods of 60,001 nodes are blocks of their own; their arrays go when
+    the integral returns, so the next integral keeps arrays of one
+    BLOCK_NODES block at most."""
+    integrate_body(0.01, 3.0 * math.pi, d_atlantic,
+                   QuadratureSettings(nodes_per_oscillation=1000))
+    integrate_body(0.01, 3.0 * math.pi, d_atlantic, QuadratureSettings())
+    kept = vars(quadrature._BLOCK_ARRAYS)
+    assert kept and all(a.size <= quadrature.BLOCK_NODES for a in kept.values())
+
+
+def test_threads_integrating_different_spans_match_the_serial_results():
+    """Each thread has its own block arrays: concurrent integrals of spans of
+    different block shapes give the serial results bit for bit."""
+    ds = [CASES[case]() for case in ("coherent N=2", "coherent N=60",
+                                     "span-scaled 80 ch", "lossless segment N=60")]
+    settings = QuadratureSettings()
+    serial = [log_weighted_integral(d, settings) for d in ds]
+    results = {}
+    start = threading.Barrier(len(ds))
+
+    def run(i):
+        start.wait()
+        results[i] = [log_weighted_integral(ds[i], settings) for _ in range(2)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(ds))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, ref in enumerate(serial):
+        assert results[i] == [ref, ref]
 
 
 def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):

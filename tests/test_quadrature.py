@@ -20,7 +20,7 @@ from hybridgn import (
     truncation_bound,
     xi,
 )
-from hybridgn.quadrature import _HEAD_U, _HEAD_W
+from hybridgn.quadrature import _HEAD_U, _HEAD_W, _gauss_legendre, _rows, _simpson_block
 from conftest import (ATLANTIC, QSMF, SMF, TOY, fejer_log_moment, fejer_running_integral,
                       singular_head)
 
@@ -56,6 +56,12 @@ def test_settings_validation():
         QuadratureSettings(target_rel_truncation=0.0)
     with pytest.raises(ValueError):
         QuadratureSettings(workers=0)
+    # a fractional count would give odd Simpson counts
+    for key, bad in (("nodes_per_oscillation", 2.5), ("nodes_per_oscillation", 16.0),
+                     ("workers", 1.5), ("workers", True)):
+        with pytest.raises(ValueError, match=key):
+            QuadratureSettings(**{key: bad})
+    assert QuadratureSettings(nodes_per_oscillation=np.int64(16), workers=np.int32(2))
 
 
 def test_delta_rule_values(d_atlantic, d_toy, settings):
@@ -172,6 +178,14 @@ def _n_phi(n):
     return lambda z: 1.0 + float(np.cos(2.0 * z * j) @ w)
 
 
+def test_head_rule_is_gauss_legendre():
+    """The head's rule, built without LAPACK, against numpy's leggauss."""
+    x, w = _gauss_legendre(80)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(80)
+    np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(w, ref_w, rtol=0.0, atol=1e-12)
+
+
 def _gauss_log_moment(x, n):
     """int_0^x ln(x/z) n*phi(z) dz by the head's Gauss rule in ln(x/z)."""
     return n * x * float(_HEAD_W @ phased_array(x * _HEAD_U, n))
@@ -209,19 +223,22 @@ def test_fejer_antiderivatives_match_quadrature():
 # body panels
 
 
-def test_body_exact_for_cubics(d_atlantic, settings):
+def _simpson(f, a, b, n_sub):
+    """The body's block Simpson rule on the one panel [a, b]."""
+    return float(_simpson_block(*_rows(np.array([a]), np.array([b]), n_sub, False),
+                                lambda z, layout: f(z))[0])
+
+
+def test_body_exact_for_cubics():
     # composite Simpson integrates polynomials of degree <= 3 exactly
-    val = integrate_body(0.0, 2.5, d_atlantic, settings,
-                         integrand=lambda z: z ** 2)
+    val = _simpson(lambda z: z ** 2, 0.0, 2.5, 32)
     assert val == pytest.approx(2.5 ** 3 / 3.0, rel=1e-14)
-    val = integrate_body(0.0, 2.0, d_atlantic, settings,
-                         integrand=lambda z: z ** 3 - z)
+    val = _simpson(lambda z: z ** 3 - z, 0.0, 2.0, 32)
     assert val == pytest.approx(2.0, rel=1e-13)
 
 
-def test_body_sine_benchmark(d_atlantic, settings):
-    val = integrate_body(0.0, math.pi, d_atlantic, settings,
-                         integrand=np.sin)
+def test_body_sine_benchmark():
+    val = _simpson(np.sin, 0.0, math.pi, 32)
     assert val == pytest.approx(2.0, rel=1e-5)
 
 
@@ -265,8 +282,6 @@ def test_body_input_validation(d_atlantic, settings):
         integrate_body(0.0, 1.0, d_atlantic, settings)  # log kernel at zero
     with pytest.raises(ValueError):
         integrate_body(1.0, 2.0 * d_atlantic.zeta_max, d_atlantic, settings)
-    with pytest.raises(ValueError):
-        integrate_body(-1.0, 1.0, d_atlantic, settings, integrand=np.sin)
 
 
 # ---------------------------------------------------------------------------

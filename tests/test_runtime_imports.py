@@ -67,3 +67,24 @@ def test_runtime_loads_no_scipy(kind, target, args):
 @ENTRY_POINTS
 def test_runtime_loads_no_jsonschema(kind, target, args):
     assert _loaded_modules(kind, target, tuple(args))["jsonschema"] == []
+
+
+def test_cli_runs_without_lapack():
+    """Nothing on the CLI's path calls LAPACK: the head's Gauss rule is built
+    by a recurrence, not by an eigensolver, whose first call sets up the
+    BLAS library's buffers."""
+    probe = """
+import runpy, sys
+import numpy.linalg
+
+def refuse(*args, **kwargs):
+    raise RuntimeError("numpy.linalg.eigh called")
+
+numpy.linalg.eigh = refuse
+sys.argv = ["hybridgn", *sys.argv[1:]]
+runpy.run_module("hybridgn", run_name="__main__", alter_sys=True)
+"""
+    res = subprocess.run([sys.executable, "-c", probe, "gamma", "--config", TOY_CFG],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert "gamma_nl_per_w2" in res.stdout

@@ -13,7 +13,7 @@ import hybridgn.engine
 import hybridgn.sweep
 from hybridgn import Coherent, QuadratureSettings
 from hybridgn.config import load_config
-from hybridgn.sweep import optimal_split, sweep_split
+from hybridgn.sweep import apply_mpi, optimal_split, sweep_split
 from hybridgn.units import linear_to_db, watt_to_dbm
 
 REPO = Path(__file__).resolve().parent.parent
@@ -68,9 +68,9 @@ def test_study_csv_equals_per_strength_sweeps(tmp_path):
     writer.writerow(["mpi_strength", "best_split_ratio", "best_first_km",
                      "p_opt_dbm", "osnr_opt_db", "q_opt_db"])
     for k in STRENGTHS:
-        rows = sweep_split(study.PREMIUM, study.STANDARD, study.SPAN_LENGTH,
-                           study.SYSTEM, 20e3, Coherent(), QuadratureSettings(),
-                           mpi_model=lambda first: k * first / study.SPAN_LENGTH)
+        rows = apply_mpi(sweep_split(study.PREMIUM, study.STANDARD, study.SPAN_LENGTH,
+                                     study.SYSTEM, 20e3, Coherent(), QuadratureSettings()),
+                         study.SYSTEM, lambda first: k * first / study.SPAN_LENGTH)
         best = optimal_split(rows)
         writer.writerow([repr(k), repr(best.split_ratio),
                          f"{best.first_length / 1e3:.1f}",

@@ -185,8 +185,8 @@ def test_split_sweep_with_length_dependent_mpi(settings):
     """A premium fiber that accumulates MPI with length moves the optimum
     into the interior of the span."""
     model = lambda first: 0.02 * (first / 100e3)
-    rows = sweep_split(QSMF, SMF, 100e3, ATLANTIC, 10e3, Coherent(), settings,
-                       mpi_model=model)
+    rows = apply_mpi(sweep_split(QSMF, SMF, 100e3, ATLANTIC, 10e3, Coherent(), settings),
+                     ATLANTIC, model)
     for r in rows:
         assert r.mpi == pytest.approx(model(r.first_length), rel=1e-15)
     best = optimal_split(rows)
@@ -198,8 +198,8 @@ def test_split_sweep_with_length_dependent_mpi(settings):
 def test_split_sweep_mpi_compensation_still_applies(settings):
     sys = replace(ATLANTIC, mpi_compensation=0.5)
     model = lambda first: 0.02 * (first / 100e3)
-    rows = sweep_split(QSMF, SMF, 100e3, sys, 50e3, Coherent(), settings,
-                       mpi_model=model)
+    rows = apply_mpi(sweep_split(QSMF, SMF, 100e3, sys, 50e3, Coherent(), settings),
+                     sys, model)
     assert rows[2].mpi == pytest.approx(0.5 * model(100e3), rel=1e-14)
 
 
@@ -217,9 +217,11 @@ def test_optimal_split_rejects_empty():
 def test_apply_mpi_equals_sweep_split_with_the_model(settings, compensation, strength):
     sys = replace(ATLANTIC, mpi_coeff=0.01, mpi_compensation=compensation)
     model = lambda first: strength * (first / 100e3)
-    physics = sweep_split(QSMF, SMF, 100e3, sys, 25e3, Coherent(), settings)
-    direct = sweep_split(QSMF, SMF, 100e3, sys, 25e3, Coherent(), settings,
-                         mpi_model=model)
+    # physics swept under another constant MPI: the model overrides it
+    physics = sweep_split(QSMF, SMF, 100e3, replace(sys, mpi_coeff=0.05), 25e3,
+                          Coherent(), settings)
+    direct = apply_mpi(sweep_split(QSMF, SMF, 100e3, sys, 25e3, Coherent(), settings),
+                       sys, model)
     reused = apply_mpi(physics, sys, model)
     assert len(reused) == len(direct)
     for a, b in zip(reused, direct):

@@ -8,7 +8,6 @@ from hybridgn.units import (
     beta2_ps2_per_km_to_s2_per_m,
     db_to_linear,
     dbm_to_watt,
-    gamma_from_aeff,
     gamma_per_w_km_to_per_w_m,
     linear_to_db,
     watt_to_dbm,
@@ -73,20 +72,3 @@ def test_gamma_conversion():
     assert gamma_per_w_km_to_per_w_m(1.3) == pytest.approx(1.3e-3, rel=1e-14)
 
 
-def test_gamma_from_aeff_silica_point():
-    # n2 = 2.6e-20 m^2/W, 1550 nm, 80 um^2
-    val = gamma_from_aeff(2.6e-20, 1550e-9, 80e-12)
-    assert val == pytest.approx(1.3174420805376552e-3, rel=1e-12)
-
-
-def test_gamma_from_aeff_scales_inversely_with_area():
-    small = gamma_from_aeff(2.6e-20, 1550e-9, 80e-12)
-    large = gamma_from_aeff(2.6e-20, 1550e-9, 160e-12)
-    assert small == pytest.approx(2.0 * large, rel=1e-14)
-
-
-def test_gamma_from_aeff_rejects_bad_geometry():
-    with pytest.raises(ValueError):
-        gamma_from_aeff(2.6e-20, 0.0, 80e-12)
-    with pytest.raises(ValueError):
-        gamma_from_aeff(2.6e-20, 1550e-9, -1e-12)
