@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from statistics import NormalDist
+from sys import float_info
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -86,9 +87,9 @@ def nl_coefficient_with_report(
     """Nonlinear noise coefficient in 1/W^2, with the derived span and the
     quadrature report behind it.
 
-    Raises ArithmeticError when the coefficient is not finite, for example
-    when a huge gamma overflows the kernel; that error replaces numpy's
-    overflow and invalid-value warnings.
+    Raises ArithmeticError when the coefficient is not finite (a huge gamma
+    overflows the kernel; the error replaces numpy's warnings) or when some
+    gamma > 0 and it underflows below the smallest normal float.
     """
     if isinstance(variant, Coherent):
         link, scale = sys, 1.0
@@ -103,6 +104,8 @@ def nl_coefficient_with_report(
     value = d.kappa * report.value * scale
     if not math.isfinite(value):
         raise ArithmeticError(f"gamma_nl is not finite: {value!r}")
+    if 0.0 <= value < float_info.min and any(s.gamma > 0.0 for s in span.segments):
+        raise ArithmeticError(f"gamma_nl underflows: {value!r} is below the float range")
     return value, d, report
 
 

@@ -14,6 +14,7 @@ to convert datasheet values at the boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -136,6 +137,10 @@ class SystemConfig:
     mpi_compensation: float = 0.0
 
     def __post_init__(self) -> None:
+        # bool is an Integral; numpy integers are too
+        for name, value in (("span_count", self.span_count), ("channel_count", self.channel_count)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # an int too large for a float raises OverflowError here
         _require_finite("system", span_count=self.span_count,
                         channel_count=self.channel_count, symbol_rate=self.symbol_rate,

@@ -10,8 +10,8 @@ oscillates with period pi.  The evaluator splits the range into
 * head  [0, delta]        Simpson under ln(zeta_max/delta), a Gauss rule in
                           ln(delta/zeta) under the rest of the log weight,
 * body  [delta, mu]       composite Simpson on panels aligned to the pi grid,
-* tail  [mu, zeta_max]    dropped once an analytic bound certifies that its
-                          contribution is below the requested tolerance.
+* tail  [mu, zeta_max]    its mean in closed form, once a certified bound on
+                          the rest is below the requested tolerance.
 
 The body's layout is decided in one place, :func:`_pi_panels`: it gives each
 panel its Simpson subinterval count from the panel's nominal length (pi for
@@ -23,12 +23,12 @@ tau), one kernel call on that layout and one row sum with the Simpson
 weights, in arrays that each thread keeps across its integrals (grown, not
 renewed; those past one block of BLOCK_NODES nodes go when their integral
 returns).
-Per block, one vectorised call of :func:`truncation_bound` gives each panel
-that closes a period its tight tail bound.  The body stops at the first such
-panel whose bound is within the target of the estimate head + panels so
-far.  The integrand is nonnegative, so that estimate never falls: the first
-panel admissible at the estimate before a block caps the block's end.  One
-math.fsum sums the kept panels, so the result does not depend on the blocks.
+Per block, :func:`tail_mean` gives each panel that closes a period the
+tail's mean past it and a certified bound on |tail - mean|.  The body stops
+at the first whose bound is within the target of the estimate head + panels
+so far, and adds the mean.  The integrand is nonnegative, so that estimate
+never falls: the first panel admissible at the estimate before a block caps
+the block's end.  One math.fsum sums the kept panels, whatever the blocks.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "refined_singular_head",
     "integrate_body",
     "truncation_bound",
+    "tail_mean",
     "log_weighted_integral",
     "brute_force_gamma_integral",
 ]
@@ -76,7 +77,7 @@ class QuadratureSettings:
         n_spans * nodes_per_oscillation subintervals, rounded up to even and
         at least 2 * nodes_per_oscillation.
     target_rel_truncation : float
-        Relative tail tolerance epsilon_r for adaptive truncation.
+        Relative tolerance epsilon_r on the tail less its closed-form mean.
     truncation_enabled : bool
         When False the body always runs to zeta_max.
     workers : int
@@ -113,15 +114,16 @@ class QuadratureSettings:
 class IntegralReport:
     """Result of the log-weighted integral with its error-control records.
 
-    `value` is always the plain sum head + body; `tail_bound` is a certified
-    upper bound (same units as `value`) on what truncation discarded, zero
-    when the body ran to zeta_max.
+    `value` is always the plain sum head + body; `body` includes `tail_mean`,
+    the closed-form mean of the tail past the stop, and `tail_bound` bounds
+    |tail - tail_mean| (same units), both zero when the body ran to zeta_max.
     """
 
     value: float
     head: float
     body: float
     tail_bound: float
+    tail_mean: float
     delta: float
     panels_evaluated: int
     truncation_m: Optional[int]
@@ -294,17 +296,17 @@ def _simpson_block(s: np.ndarray, tau: np.ndarray, h: np.ndarray,
 
 def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
                       settings: QuadratureSettings, head: float = 0.0,
-                      truncate: bool = False) -> Tuple[float, int, Optional[int], float]:
+                      truncate: bool = False,
+                      ) -> Tuple[float, int, Optional[int], float, float]:
     """Composite-Simpson sum of ln(zeta_max/z) xi(z) over the pi-aligned
     panels of [lower, upper], bounded and evaluated one block of
     :func:`_pi_panels` at a time.
 
     The blocks share this thread's node grid and kernel arrays, grown for a
-    larger block.  With `truncate`, one :func:`truncation_bound` call per block
-    gives each panel that closes a period k its tight tail bound (m = k - 1),
-    and the sum stops at the first one whose bound is <= target * (head +
-    panels so far).  Returns (body, panels evaluated, m or None, tight bound
-    at the stop or 0).
+    larger block.  With `truncate`, the sum stops at the first panel closing a
+    period k whose :func:`tail_mean` remainder (m = k - 1) is <= target *
+    (head + panels so far).  Returns (sum of the panels, panels evaluated, m
+    or None, and tail_mean's mean and remainder at the stop, or 0 and 0).
     """
     work: dict = vars(_BLOCK_ARRAYS)  # this thread's own dict
 
@@ -314,13 +316,14 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
         return np.multiply(weight, xi(z, d, layout, work), out=weight)
 
     target = settings.target_rel_truncation * d.n_spans
+    law = _tail_law(d) if truncate else None
     values: List[float] = []
     try:
         for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, settings.nodes_per_oscillation):
             # NaN where no stop is allowed: it compares false against any estimate
-            bound = np.full(len(s), np.nan)
-            if truncate and k.any():
-                bound[k > 0] = truncation_bound(k[k > 0] - 1, d)[0]
+            bound, mean = np.full(len(s), np.nan), np.zeros(len(s))
+            if law is not None and k.any():
+                mean[k > 0], bound[k > 0] = law(k[k > 0] - 1)
             done = head + math.fsum(values)
             # the estimate never falls, so the body stops here at the latest (a
             # 0 bound stops a 0 estimate); a shared row of offsets (tau of one
@@ -334,9 +337,10 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
             if stops.size:
                 stop = int(stops[0])
                 values.extend(block[:stop + 1].tolist())
-                return math.fsum(values), len(values), int(k[stop]) - 1, float(bound[stop])
+                return (math.fsum(values), len(values), int(k[stop]) - 1,
+                        float(mean[stop]), float(bound[stop]))
             values.extend(block.tolist())
-        return math.fsum(values), len(values), None, 0.0
+        return math.fsum(values), len(values), None, 0.0, 0.0
     finally:
         for name in [n for n, a in work.items() if a.size > BLOCK_NODES]:
             del work[name]
@@ -396,6 +400,72 @@ def truncation_bound(m, d: DerivedSpan):
     return tight, loose
 
 
+def tail_mean(m, d: DerivedSpan):
+    """Closed-form mean of the tail past mu = (m+1)*pi and a certified bound
+    on the rest: (mean, remainder) with |tail - mean| <= remainder, the tail
+    scaled as in :func:`truncation_bound`.  An int `m` gives two floats, an
+    int array two arrays.
+
+    With Lam_j = lam_1+..+lam_j, P_j = exp(-2(nu_1+..+nu_j)) and g_k = gamma_k
+    l_k / lam_k (g_0 = g_{K+1} = 0), the amplitude A of eta = |A|^2 splits as
+    z A = S + R, S = sum_{j=0..K} b_j e^{-2i Lam_j z}, b_j = P_j (g_{j+1} - g_j)
+    / (2i), |R| <= r/z, r = sum_k gamma_k l_k (P_{k-1} + P_k) nu_k / (2 lam_k^2).
+    phi |S|^2 has the terms b_j conj(b_l) (1 - |n|/N)/N at w = 2(n - (Lam_j -
+    Lam_l)), |n| < N.  Against g = ln(zeta_max/z)/z^2 those at w = 0 (j = l,
+    n = 0; (K, 0) and (0, K), n = +-1) give the mean, each other at most
+    |b_j b_l| (1 - |n|/N) min(2 g(mu)/|w|, int_mu g) by the second mean-value
+    theorem.  R adds at most pi h(mu) + int_mu h, h = ln(zeta_max/z) (2 s r/z^3
+    + r^2/z^4), s = sum_j |b_j|; max(tight - mean, mean) caps the remainder.
+    """
+    mean, remainder = _tail_law(d)(np.atleast_1d(m))
+    return (float(mean[0]), float(remainder[0])) if np.ndim(m) == 0 else (mean, remainder)
+
+
+def _tail_law(d: DerivedSpan) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """:func:`tail_mean` of an int array m, the span's constants bound in."""
+    n = d.n_spans
+    lam = np.concatenate(([0.0], np.cumsum(d.lam)))
+    front = np.exp(-2.0 * np.concatenate(([0.0], np.cumsum(d.nu))))
+    strength = d.gammas * d.lengths
+    b = front * np.diff(np.concatenate(([0.0], strength / d.lam, [0.0]))) / 2j
+    size = np.abs(b)
+    c_inf = np.sum(size ** 2) + 2.0 * (1.0 - 1.0 / n) * (b[0] * np.conj(b[-1])).real
+    r = np.sum(strength * (front[:-1] + front[1:]) * d.nu / (2.0 * d.lam ** 2))
+    sr2, r2 = 2.0 * np.sum(size) * r, r * r
+    # the terms by |w|, those of the mean zeroed by index; w = 0 is below every cut
+    coef = size[:, None, None] * size[None, :, None] * (1.0 - np.abs(np.arange(1 - n, n)) / n)
+    omega = np.abs(2.0 * (np.arange(1 - n, n) - (lam[:, None, None] - lam[None, :, None])))
+    coef[np.arange(len(b)), np.arange(len(b)), n - 1] = 0.0
+    if n > 1:
+        coef[-1, 0, n] = coef[0, -1, n - 2] = 0.0
+    order = np.argsort(omega, axis=None)
+    omega, coef = omega.ravel()[order], coef.ravel()[order]
+    capped = np.concatenate(([0.0], np.cumsum(coef)))
+    beats = np.divide(coef, omega, out=np.zeros_like(coef), where=omega > 0.0)
+    beats = np.append(np.cumsum(beats[::-1])[::-1], 0.0)
+
+    def law(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        tight = truncation_bound(m, d)[0]
+        mu = (m + 1.0) * math.pi
+        log = np.log(d.zeta_max / mu)
+
+        def moment(p):  # int_mu^zeta_max ln(zeta_max/z)/z^p dz
+            return log / ((p - 1) * mu ** (p - 1)) \
+                + (d.zeta_max ** (1 - p) - mu ** (1 - p)) / (p - 1) ** 2
+        big_g = np.maximum(moment(2), 0.0)
+        two_g = 2.0 * log / mu ** 2
+        # terms below the |w| where 2 g(mu)/|w| = G(mu) take G(mu), the rest 2 g(mu)/|w|
+        cut = np.searchsorted(omega, np.divide(two_g, big_g, out=np.full_like(mu, np.inf),
+                                               where=big_g > 0.0), side="right")
+        oscillating = big_g * capped[cut] + two_g * beats[cut]
+        slow = math.pi * log * (sr2 / mu ** 3 + r2 / mu ** 4) + sr2 * moment(3) \
+            + r2 * moment(4)
+        mean = c_inf * big_g
+        return mean, np.minimum(oscillating + slow, np.maximum(tight - mean, mean))
+
+    return law
+
+
 # ---------------------------------------------------------------------------
 # driver
 
@@ -404,19 +474,21 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
     """Evaluate I = int_0^zeta_max ln(zeta_max/z) xi(z) dz with error control.
 
     Head and body as documented on the module; when truncation is enabled the
-    body stops at the first full period mu = (m+1)*pi at which the tight tail
-    bound drops below target_rel_truncation relative to the running estimate.
-    The returned report satisfies value = head + body exactly.
+    body stops at the first full period mu = (m+1)*pi at which the bound on
+    the tail less its mean drops below target_rel_truncation relative to the
+    running estimate, and adds that mean.  value = head + body exactly.
     """
     delta = delta_rule(d.n_spans, d.zeta_max, settings)
     head = refined_singular_head(delta, d, settings)
-    body, panels, truncation_m, tight = _integrate_panels(
+    panels_sum, panels, truncation_m, mean, remainder = _integrate_panels(
         delta, d.zeta_max, d, settings, head, settings.truncation_enabled)
+    body = panels_sum + mean / d.n_spans
     return IntegralReport(
         value=head + body,
         head=head,
         body=body,
-        tail_bound=tight / d.n_spans,
+        tail_bound=remainder / d.n_spans,
+        tail_mean=mean / d.n_spans,
         delta=delta,
         panels_evaluated=panels,
         truncation_m=truncation_m,

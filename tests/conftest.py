@@ -42,6 +42,20 @@ SMF = FiberSegment(
     gamma=gamma_per_w_km_to_per_w_m(0.9410301932738785),
 )
 
+#: A three-fiber span inside the datasheet ranges, for the single-span cases.
+THREE_FIBER = SpanPlan((
+    FiberSegment("f1", 31.4e3, attenuation_db_per_km_to_np_per_m(0.1914),
+                 beta2_ps2_per_km_to_s2_per_m(-16.6), gamma_per_w_km_to_per_w_m(0.406)),
+    FiberSegment("f2", 40.2e3, attenuation_db_per_km_to_np_per_m(0.1549),
+                 beta2_ps2_per_km_to_s2_per_m(-26.8), gamma_per_w_km_to_per_w_m(1.3948)),
+    FiberSegment("f3", 22.5e3, attenuation_db_per_km_to_np_per_m(0.2013),
+                 beta2_ps2_per_km_to_s2_per_m(-21.1), gamma_per_w_km_to_per_w_m(0.8821)),
+))
+
+#: A segment without loss: sigma = 0, the tight tail bound takes its limit.
+LOSSLESS = FiberSegment("lossless", 20e3, 0.0, beta2_ps2_per_km_to_s2_per_m(-20.0),
+                        gamma_per_w_km_to_per_w_m(0.9))
+
 #: 60 x 100 km link, 9 x 32 GBd Nyquist channels.
 ATLANTIC = SystemConfig(span_count=60, symbol_rate=32e9, channel_count=9,
                         noise_figure_db=5.0, wavelength=1550e-9)

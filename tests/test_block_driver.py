@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from hybridgn import (
-    FiberSegment,
     IntegralReport,
     QuadratureSettings,
     SpanPlan,
@@ -27,30 +26,11 @@ from hybridgn import (
     log_weighted_integral,
     nl_coefficient,
     refined_singular_head,
-    truncation_bound,
     xi,
 )
 from hybridgn import quadrature
-from hybridgn.units import (
-    attenuation_db_per_km_to_np_per_m,
-    beta2_ps2_per_km_to_s2_per_m,
-    gamma_per_w_km_to_per_w_m,
-)
-from conftest import ATLANTIC, QSMF, SMF
-
-#: A three-fiber span inside the datasheet ranges, for the single-span cases.
-THREE_FIBER = SpanPlan((
-    FiberSegment("f1", 31.4e3, attenuation_db_per_km_to_np_per_m(0.1914),
-                 beta2_ps2_per_km_to_s2_per_m(-16.6), gamma_per_w_km_to_per_w_m(0.406)),
-    FiberSegment("f2", 40.2e3, attenuation_db_per_km_to_np_per_m(0.1549),
-                 beta2_ps2_per_km_to_s2_per_m(-26.8), gamma_per_w_km_to_per_w_m(1.3948)),
-    FiberSegment("f3", 22.5e3, attenuation_db_per_km_to_np_per_m(0.2013),
-                 beta2_ps2_per_km_to_s2_per_m(-21.1), gamma_per_w_km_to_per_w_m(0.8821)),
-))
-
-#: A segment without loss: sigma = 0, the tight tail bound takes its limit.
-LOSSLESS = FiberSegment("lossless", 20e3, 0.0, beta2_ps2_per_km_to_s2_per_m(-20.0),
-                        gamma_per_w_km_to_per_w_m(0.9))
+from hybridgn.quadrature import tail_mean
+from conftest import ATLANTIC, LOSSLESS, QSMF, SMF, THREE_FIBER
 
 
 def reference_layout(lower, upper):
@@ -92,24 +72,27 @@ def reference_panels(lower, upper, d, settings):
 
 def reference_integral(d, settings):
     """Panel-by-panel driver: head + fsum(all panels so far) for the stop
-    test after each full period."""
+    test on the tail's remainder bound after each full period; the tail's
+    mean joins the body at the stop."""
     delta = delta_rule(d.n_spans, d.zeta_max, settings)
     head = refined_singular_head(delta, d, settings)
     values = []
     truncation_m = None
-    tail_bound = 0.0
+    mean = remainder = 0.0
     for k_end, value in reference_panels(delta, d.zeta_max, d, settings):
         values.append(value)
         if settings.truncation_enabled and k_end >= 2:
             running = head + math.fsum(values)
             if running > 0.0:
-                tight, _ = truncation_bound(k_end - 1, d)
-                if tight <= settings.target_rel_truncation * d.n_spans * running:
+                mean, remainder = tail_mean(k_end - 1, d)
+                if remainder <= settings.target_rel_truncation * d.n_spans * running:
                     truncation_m = k_end - 1
-                    tail_bound = tight / d.n_spans
                     break
-    body = math.fsum(values)
-    return IntegralReport(value=head + body, head=head, body=body, tail_bound=tail_bound,
+    if truncation_m is None:
+        mean = remainder = 0.0
+    body = math.fsum(values) + mean / d.n_spans
+    return IntegralReport(value=head + body, head=head, body=body,
+                          tail_bound=remainder / d.n_spans, tail_mean=mean / d.n_spans,
                           delta=delta, panels_evaluated=len(values),
                           truncation_m=truncation_m)
 
@@ -160,11 +143,11 @@ def test_block_driver_matches_reference_without_truncation():
 
 
 def _first_admissible_m(d, settings, running):
-    """Linear scan for the smallest m whose tight bound meets the target."""
+    """Linear scan for the smallest m whose remainder bound meets the target."""
     target = settings.target_rel_truncation * d.n_spans * running
     m = 1
     while (m + 1) * math.pi < d.zeta_max:
-        if truncation_bound(m, d)[0] <= target:
+        if tail_mean(m, d)[1] <= target:
             return m
         m += 1
     return None
@@ -213,7 +196,8 @@ def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
 def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
     """Kernel calls are blocks of up to BLOCK_NODES nodes, not single panels,
     each laid out as one panels x nodes grid; every whole period gets the
-    subinterval count of pi, 60 * 16 at N = 60."""
+    subinterval count of pi, 60 * 16 at N = 60.  The body runs to zeta_max,
+    through all its periods."""
     d = _coherent(SpanPlan((QSMF, SMF)), 60)
     blocks = []
     real_xi = quadrature.xi
@@ -225,7 +209,7 @@ def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
         return real_xi(zeta, d, layout, work)
 
     monkeypatch.setattr(quadrature, "xi", recording_xi)
-    rep = log_weighted_integral(d, QuadratureSettings())
+    rep = log_weighted_integral(d, QuadratureSettings(truncation_enabled=False))
     assert max(math.prod(shape) for shape, _, _ in blocks) <= quadrature.BLOCK_NODES
     assert len(blocks) < rep.panels_evaluated / 10
     assert all(len(shape) == 2 for shape, _, _ in blocks)
@@ -237,7 +221,8 @@ def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
                 and tau[0, 0] == 0.0 and tau[0, -1] == math.pi):
             assert shape[1] == 60 * 16 + 1
             periods += len(s)
-    assert periods >= rep.truncation_m  # the periods [pi, 2 pi] .. [m pi, (m+1) pi]
+    # the periods [pi, 2 pi] .. [(K-1) pi, K pi], K pi the last multiple below zeta_max
+    assert periods == math.ceil(d.zeta_max / math.pi) - 2
 
 
 def test_a_repeated_integral_keeps_its_pages():

@@ -38,21 +38,21 @@ def test_gamma_csv_report():
     assert report["span_count"] == "60"
     assert float(report["zeta0"]) == pytest.approx(1088.770541700461, rel=1e-12)
     assert float(report["gamma_nl_per_w2"]) == pytest.approx(
-        10016.954321045956, rel=1e-12)
+        10016.999151177208, rel=1e-12)
     assert float(report["f_phase_hz"]) == pytest.approx(
         3085881986.6543927, rel=1e-12)
-    assert report["truncation_m"] == "262"
+    assert report["truncation_m"] == "57"
 
 
 def test_gamma_json_report():
     res = run_cli("gamma", "--config", ATLANTIC_CFG, "--format", "json")
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
-    assert report["truncation_m"] == 262
-    assert report["panels_evaluated"] == 271
-    assert report["gamma_nl_per_w2"] == pytest.approx(10016.954321045956,
+    assert report["truncation_m"] == 57
+    assert report["panels_evaluated"] == 66
+    assert report["gamma_nl_per_w2"] == pytest.approx(10016.999151177208,
                                                       rel=1e-12)
-    assert report["integral_value"] == pytest.approx(63.11437952727999,
+    assert report["integral_value"] == pytest.approx(63.11466199097379,
                                                      rel=1e-12)
 
 
@@ -87,7 +87,7 @@ def test_gamma_span_scaled_variant():
     report = json.loads(res.stdout)
     assert report["variant"] == "span_scaled"
     assert report["epsilon"] == 0.15
-    assert report["gamma_nl_per_w2"] == pytest.approx(13298.11728006151,
+    assert report["gamma_nl_per_w2"] == pytest.approx(13298.174925631536,
                                                       rel=1e-12)
 
 
@@ -157,6 +157,20 @@ def test_gamma_non_finite_result_is_a_numerical_error(tmp_path):
         lines = res.stderr.decode().splitlines()
         assert len(lines) == 1, (args, lines)
         assert lines[0].startswith("numerical error: gamma_nl is not finite"), args
+
+
+def test_gamma_below_the_float_range_is_a_numerical_error(tmp_path):
+    """Every gamma scaled by 1e-165 puts gamma_nl near 1e-326, below the
+    float range: a clean numerical error, not 0.0 with exit 0."""
+    raw = json.loads(Path(ATLANTIC_CFG).read_text())
+    for segment in raw["span"]:
+        segment["gamma_per_w_km"] *= 1e-165
+    p = tmp_path / "faint_gamma.json"
+    p.write_text(json.dumps(raw))
+    res = run_cli("gamma", "--config", str(p))
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == b""
+    assert res.stderr.decode().startswith("numerical error: gamma_nl underflows")
 
 
 def test_output_dash_writes_to_stdout(tmp_path):

@@ -67,6 +67,18 @@ def test_system_validation():
         replace(ATLANTIC, mpi_compensation=1.5)
 
 
+@pytest.mark.parametrize("key, bad", [("span_count", 60.5), ("span_count", 60.0),
+                                      ("span_count", True), ("channel_count", 9.5),
+                                      ("channel_count", np.float64(9.0))])
+def test_system_rejects_fractional_counts(key, bad):
+    # a fractional span count used to reach the phased-array factor:
+    # span_count=60.5 gave gamma_nl = 10106.1, between 10017.0 at 60 and
+    # 10195.8 at 61
+    with pytest.raises(ValueError, match=key):
+        replace(ATLANTIC, **{key: bad})
+    assert replace(ATLANTIC, span_count=np.int64(60), channel_count=np.int32(9))
+
+
 @pytest.mark.parametrize("field", ["symbol_rate", "noise_figure_db", "wavelength",
                                    "resolution_bw", "mpi_coeff", "mpi_compensation"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
