@@ -10,8 +10,9 @@ oscillates with period pi.  The evaluator splits the range into
 * head  [0, delta]        Simpson under ln(zeta_max/delta), a Gauss rule in
                           ln(delta/zeta) under the rest of the log weight,
 * body  [delta, mu]       composite Simpson on panels aligned to the pi grid,
-* tail  [mu, zeta_max]    its mean in closed form, once a certified bound on
-                          the rest is below the requested tolerance.
+* tail  [mu, zeta_max]    its mean and the leading term of its oscillation
+                          in closed form, once a certified bound on the rest
+                          is below the requested tolerance.
 
 The body's layout is decided in one place, :func:`_pi_panels`: it gives each
 panel its Simpson subinterval count from the panel's nominal length (pi for
@@ -23,12 +24,16 @@ tau), one kernel call on that layout and one row sum with the Simpson
 weights, in arrays that each thread keeps across its integrals (grown, not
 renewed; those past one block of BLOCK_NODES nodes go when their integral
 returns).
-Per block, :func:`tail_mean` gives each panel that closes a period the
-tail's mean past it and a certified bound on |tail - mean|.  The body stops
-at the first whose bound is within the target of the estimate head + panels
-so far, and adds the mean.  The integrand is nonnegative, so that estimate
-never falls: the first panel admissible at the estimate before a block caps
-the block's end.  One math.fsum sums the kept panels, whatever the blocks.
+Per block, :func:`tail_mean` gives each panel that closes a period k = m + 1
+that is a power of two the tail's closed form past it and a certified bound
+on the rest.  The body stops at the first whose bound is within the target
+of the estimate head + panels so far, and adds the closed form.  Testing only
+powers of two lets integrals of similar spans stop at the same period and
+cost the same; the periods past the first admissible one, fewer than those
+before it, only shrink the remainder.  The integrand is nonnegative, so the
+estimate never falls: the first tested panel admissible at the estimate
+before a block caps the block's end.  One math.fsum sums the kept panels,
+whatever the blocks.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ class QuadratureSettings:
         n_spans * nodes_per_oscillation subintervals, rounded up to even and
         at least 2 * nodes_per_oscillation.
     target_rel_truncation : float
-        Relative tolerance epsilon_r on the tail less its closed-form mean.
+        Relative tolerance epsilon_r on the tail less its closed form.
     truncation_enabled : bool
         When False the body always runs to zeta_max.
     workers : int
@@ -114,9 +119,11 @@ class QuadratureSettings:
 class IntegralReport:
     """Result of the log-weighted integral with its error-control records.
 
-    `value` is always the plain sum head + body; `body` includes `tail_mean`,
-    the closed-form mean of the tail past the stop, and `tail_bound` bounds
-    |tail - tail_mean| (same units), both zero when the body ran to zeta_max.
+    `value` is always the plain sum head + body; `body` includes `tail_mean`
+    and `tail_oscillation`, the tail past the stop in closed form (its mean
+    and the leading term of its oscillation), and `tail_bound` bounds |tail -
+    tail_mean - tail_oscillation| (same units), all zero when the body ran to
+    zeta_max.
     """
 
     value: float
@@ -124,6 +131,7 @@ class IntegralReport:
     body: float
     tail_bound: float
     tail_mean: float
+    tail_oscillation: float
     delta: float
     panels_evaluated: int
     truncation_m: Optional[int]
@@ -297,16 +305,17 @@ def _simpson_block(s: np.ndarray, tau: np.ndarray, h: np.ndarray,
 def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
                       settings: QuadratureSettings, head: float = 0.0,
                       truncate: bool = False,
-                      ) -> Tuple[float, int, Optional[int], float, float]:
+                      ) -> Tuple[float, int, Optional[int], float, float, float]:
     """Composite-Simpson sum of ln(zeta_max/z) xi(z) over the pi-aligned
     panels of [lower, upper], bounded and evaluated one block of
     :func:`_pi_panels` at a time.
 
     The blocks share this thread's node grid and kernel arrays, grown for a
     larger block.  With `truncate`, the sum stops at the first panel closing a
-    period k whose :func:`tail_mean` remainder (m = k - 1) is <= target *
-    (head + panels so far).  Returns (sum of the panels, panels evaluated, m
-    or None, and tail_mean's mean and remainder at the stop, or 0 and 0).
+    period k, a power of two, whose :func:`tail_mean` remainder (m = k - 1)
+    is <= target * (head + panels so far).  Returns (sum of the panels,
+    panels evaluated, m or None, and tail_mean's three values at the stop, or
+    zeros).
     """
     work: dict = vars(_BLOCK_ARRAYS)  # this thread's own dict
 
@@ -321,9 +330,10 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
     try:
         for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, settings.nodes_per_oscillation):
             # NaN where no stop is allowed: it compares false against any estimate
-            bound, mean = np.full(len(s), np.nan), np.zeros(len(s))
-            if law is not None and k.any():
-                mean[k > 0], bound[k > 0] = law(k[k > 0] - 1)
+            bound, mean, swing = np.full(len(s), np.nan), np.zeros(len(s)), np.zeros(len(s))
+            tested = (k > 0) & (k & (k - 1) == 0)  # k = m + 1 a power of two
+            if law is not None and tested.any():
+                mean[tested], swing[tested], bound[tested] = law(k[tested] - 1)
             done = head + math.fsum(values)
             # the estimate never falls, so the body stops here at the latest (a
             # 0 bound stops a 0 estimate); a shared row of offsets (tau of one
@@ -338,9 +348,9 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
                 stop = int(stops[0])
                 values.extend(block[:stop + 1].tolist())
                 return (math.fsum(values), len(values), int(k[stop]) - 1,
-                        float(mean[stop]), float(bound[stop]))
+                        float(mean[stop]), float(swing[stop]), float(bound[stop]))
             values.extend(block.tolist())
-        return math.fsum(values), len(values), None, 0.0, 0.0
+        return math.fsum(values), len(values), None, 0.0, 0.0, 0.0
     finally:
         for name in [n for n, a in work.items() if a.size > BLOCK_NODES]:
             del work[name]
@@ -401,50 +411,72 @@ def truncation_bound(m, d: DerivedSpan):
 
 
 def tail_mean(m, d: DerivedSpan):
-    """Closed-form mean of the tail past mu = (m+1)*pi and a certified bound
-    on the rest: (mean, remainder) with |tail - mean| <= remainder, the tail
-    scaled as in :func:`truncation_bound`.  An int `m` gives two floats, an
-    int array two arrays.
+    """Closed-form tail past mu = (m+1)*pi and a certified bound on the rest:
+    (mean, oscillation, remainder) with |tail - mean - oscillation| <=
+    remainder, the tail scaled as in :func:`truncation_bound`.  An int `m`
+    gives three floats, an int array three arrays.
 
     With Lam_j = lam_1+..+lam_j, P_j = exp(-2(nu_1+..+nu_j)) and g_k = gamma_k
     l_k / lam_k (g_0 = g_{K+1} = 0), the amplitude A of eta = |A|^2 splits as
     z A = S + R, S = sum_{j=0..K} b_j e^{-2i Lam_j z}, b_j = P_j (g_{j+1} - g_j)
     / (2i), |R| <= r/z, r = sum_k gamma_k l_k (P_{k-1} + P_k) nu_k / (2 lam_k^2).
-    phi |S|^2 has the terms b_j conj(b_l) (1 - |n|/N)/N at w = 2(n - (Lam_j -
-    Lam_l)), |n| < N.  Against g = ln(zeta_max/z)/z^2 those at w = 0 (j = l,
-    n = 0; (K, 0) and (0, K), n = +-1) give the mean, each other at most
-    |b_j b_l| (1 - |n|/N) min(2 g(mu)/|w|, int_mu g) by the second mean-value
-    theorem.  R adds at most pi h(mu) + int_mu h, h = ln(zeta_max/z) (2 s r/z^3
-    + r^2/z^4), s = sum_j |b_j|; max(tight - mean, mean) caps the remainder.
+    N phi |S|^2 has the real terms c = b_j conj(b_l) (1 - |n|/N) at w = 2(n -
+    (Lam_j - Lam_l)), |n| < N, against g = ln(zeta_max/z)/z^2.  Those at w = 0
+    (j = l, n = 0; (K, 0) and (0, K), n = +-1) give the mean.  Integrating each
+    other term by parts leaves c g(mu) sin(2 (Lam_j - Lam_l) mu) / w, the
+    oscillation, and c int_mu |g'| sin(w z) / w, at most 2 |c g'(mu)| / w^2 by
+    the second mean-value theorem; that is kept where |w| >= |g'(mu)|/g(mu),
+    and below it the term itself is bounded by |c| min(2 g(mu)/|w|, int_mu g).
+    R adds at most pi h(mu) + int_mu h, h = ln(zeta_max/z) (2 s r/z^3 +
+    r^2/z^4), s = sum_j |b_j|; max(tight - T, T), T the closed form, caps the
+    remainder.
     """
-    mean, remainder = _tail_law(d)(np.atleast_1d(m))
-    return (float(mean[0]), float(remainder[0])) if np.ndim(m) == 0 else (mean, remainder)
+    parts = _tail_law(d)(np.atleast_1d(m))
+    return tuple(float(p[0]) for p in parts) if np.ndim(m) == 0 else parts
 
 
-def _tail_law(d: DerivedSpan) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+def _tail_law(d: DerivedSpan,
+              ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """:func:`tail_mean` of an int array m, the span's constants bound in."""
     n = d.n_spans
     lam = np.concatenate(([0.0], np.cumsum(d.lam)))
     front = np.exp(-2.0 * np.concatenate(([0.0], np.cumsum(d.nu))))
     strength = d.gammas * d.lengths
-    b = front * np.diff(np.concatenate(([0.0], strength / d.lam, [0.0]))) / 2j
-    size = np.abs(b)
-    c_inf = np.sum(size ** 2) + 2.0 * (1.0 - 1.0 / n) * (b[0] * np.conj(b[-1])).real
+    # b_j = -i beta_j, so every b_j conj(b_l) = beta_j beta_l is real
+    beta = front * np.diff(np.concatenate(([0.0], strength / d.lam, [0.0]))) / 2.0
+    size = np.abs(beta)
+    c_inf = np.sum(size ** 2) + 2.0 * (1.0 - 1.0 / n) * beta[0] * beta[-1]
     r = np.sum(strength * (front[:-1] + front[1:]) * d.nu / (2.0 * d.lam ** 2))
     sr2, r2 = 2.0 * np.sum(size) * r, r * r
     # the terms by |w|, those of the mean zeroed by index; w = 0 is below every cut
-    coef = size[:, None, None] * size[None, :, None] * (1.0 - np.abs(np.arange(1 - n, n)) / n)
-    omega = np.abs(2.0 * (np.arange(1 - n, n) - (lam[:, None, None] - lam[None, :, None])))
-    coef[np.arange(len(b)), np.arange(len(b)), n - 1] = 0.0
+    fejer = 1.0 - np.abs(np.arange(1 - n, n)) / n
+    signed = 2.0 * (np.arange(1 - n, n) - (lam[:, None, None] - lam[None, :, None]))
+    coef = size[:, None, None] * size[None, :, None] * fejer
+    coef[np.arange(len(beta)), np.arange(len(beta)), n - 1] = 0.0
     if n > 1:
         coef[-1, 0, n] = coef[0, -1, n - 2] = 0.0
-    order = np.argsort(omega, axis=None)
-    omega, coef = omega.ravel()[order], coef.ravel()[order]
-    capped = np.concatenate(([0.0], np.cumsum(coef)))
-    beats = np.divide(coef, omega, out=np.zeros_like(coef), where=omega > 0.0)
-    beats = np.append(np.cumsum(beats[::-1])[::-1], 0.0)
+    omega = np.abs(signed).ravel()
+    order = np.argsort(omega)
+    omega, coef = omega[order], coef.ravel()[order]
 
-    def law(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def from_cut(x):  # the sums of x over the terms from each cut on
+        return np.append(np.cumsum(x[..., ::-1], axis=-1)[..., ::-1],
+                         np.zeros(x.shape[:-1] + (1,)), axis=-1)
+    capped = np.concatenate(([0.0], np.cumsum(coef)))
+    nonzero = omega > 0.0
+    beats = from_cut(np.divide(coef, omega, out=np.zeros_like(coef), where=nonzero))
+    squares = from_cut(np.divide(coef, omega ** 2, out=np.zeros_like(coef), where=nonzero))
+    # the oscillation comes from the pairs j > l but (K, 0), whose sine
+    # vanishes on multiples of pi (Lam_K = 1), as (j, l) and (l, j) alike;
+    # per pair the terms by |w| and the sums of (1 - |n|/N)/w from each cut on
+    j, l = np.tril_indices(len(beta), -1)
+    j, l = j[j - l < len(beta) - 1], l[j - l < len(beta) - 1]
+    by_size = np.argsort(np.abs(signed[j, l]), axis=1)
+    pair_w = np.take_along_axis(signed[j, l], by_size, axis=1)
+    pair_sums = from_cut(fejer[by_size] / pair_w)
+    pair_coef, pair_lam = 2.0 * beta[j] * beta[l], lam[j] - lam[l]
+
+    def law(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         tight = truncation_bound(m, d)[0]
         mu = (m + 1.0) * math.pi
         log = np.log(d.zeta_max / mu)
@@ -453,15 +485,27 @@ def _tail_law(d: DerivedSpan) -> Callable[[np.ndarray], Tuple[np.ndarray, np.nda
             return log / ((p - 1) * mu ** (p - 1)) \
                 + (d.zeta_max ** (1 - p) - mu ** (1 - p)) / (p - 1) ** 2
         big_g = np.maximum(moment(2), 0.0)
-        two_g = 2.0 * log / mu ** 2
-        # terms below the |w| where 2 g(mu)/|w| = G(mu) take G(mu), the rest 2 g(mu)/|w|
-        cut = np.searchsorted(omega, np.divide(two_g, big_g, out=np.full_like(mu, np.inf),
+        g = log / mu ** 2
+        slope = (1.0 + 2.0 * log) / mu ** 3  # |g'(mu)|
+        # terms below the |w| where 2 g(mu)/|w| = G(mu) take G(mu), the rest
+        # 2 g(mu)/|w| up to |w| = |g'(mu)|/g(mu) and 2 |g'(mu)|/w^2 past it
+        corrected = slope / g
+        cut = np.searchsorted(omega, np.divide(2.0 * g, big_g, out=np.full_like(mu, np.inf),
                                                where=big_g > 0.0), side="right")
-        oscillating = big_g * capped[cut] + two_g * beats[cut]
+        cut_c = np.searchsorted(omega, corrected)
+        cut = np.minimum(cut, cut_c)
+        oscillating = big_g * capped[cut] + 2.0 * g * (beats[cut] - beats[cut_c]) \
+            + 2.0 * slope * squares[cut_c]
         slow = math.pi * log * (sr2 / mu ** 3 + r2 / mu ** 4) + sr2 * moment(3) \
             + r2 * moment(4)
+        kept = np.take_along_axis(
+            pair_sums, np.sum(np.abs(pair_w)[:, :, None] < corrected, axis=1), axis=1)
+        oscillation = g * np.sum(pair_coef[:, None] * np.sin(2.0 * np.outer(pair_lam, mu))
+                                 * kept, axis=0)
         mean = c_inf * big_g
-        return mean, np.minimum(oscillating + slow, np.maximum(tight - mean, mean))
+        closed = mean + oscillation
+        return mean, oscillation, np.minimum(oscillating + slow,
+                                             np.maximum(tight - closed, closed))
 
     return law
 
@@ -474,21 +518,23 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
     """Evaluate I = int_0^zeta_max ln(zeta_max/z) xi(z) dz with error control.
 
     Head and body as documented on the module; when truncation is enabled the
-    body stops at the first full period mu = (m+1)*pi at which the bound on
-    the tail less its mean drops below target_rel_truncation relative to the
-    running estimate, and adds that mean.  value = head + body exactly.
+    body stops at the first full period mu = (m+1)*pi, m + 1 a power of two,
+    at which the bound on the tail less its closed form drops below
+    target_rel_truncation relative to the running estimate, and adds that
+    closed form.  value = head + body exactly.
     """
     delta = delta_rule(d.n_spans, d.zeta_max, settings)
     head = refined_singular_head(delta, d, settings)
-    panels_sum, panels, truncation_m, mean, remainder = _integrate_panels(
+    panels_sum, panels, truncation_m, mean, swing, remainder = _integrate_panels(
         delta, d.zeta_max, d, settings, head, settings.truncation_enabled)
-    body = panels_sum + mean / d.n_spans
+    body = panels_sum + (mean + swing) / d.n_spans
     return IntegralReport(
         value=head + body,
         head=head,
         body=body,
         tail_bound=remainder / d.n_spans,
         tail_mean=mean / d.n_spans,
+        tail_oscillation=swing / d.n_spans,
         delta=delta,
         panels_evaluated=panels,
         truncation_m=truncation_m,

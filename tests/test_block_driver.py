@@ -70,29 +70,35 @@ def reference_panels(lower, upper, d, settings):
         yield int(k_end), math.fsum((w * f).tolist()) * ((b - a) / n_sub) / 3.0
 
 
+def _tested(k):
+    """Whether the driver tests its stop after period k: k a power of two."""
+    return k >= 2 and k & (k - 1) == 0
+
+
 def reference_integral(d, settings):
     """Panel-by-panel driver: head + fsum(all panels so far) for the stop
-    test on the tail's remainder bound after each full period; the tail's
-    mean joins the body at the stop."""
+    test on the tail's remainder bound after each full period k = m + 1 that
+    is a power of two; the tail's closed form joins the body at the stop."""
     delta = delta_rule(d.n_spans, d.zeta_max, settings)
     head = refined_singular_head(delta, d, settings)
     values = []
     truncation_m = None
-    mean = remainder = 0.0
+    mean = oscillation = remainder = 0.0
     for k_end, value in reference_panels(delta, d.zeta_max, d, settings):
         values.append(value)
-        if settings.truncation_enabled and k_end >= 2:
+        if settings.truncation_enabled and _tested(k_end):
             running = head + math.fsum(values)
             if running > 0.0:
-                mean, remainder = tail_mean(k_end - 1, d)
+                mean, oscillation, remainder = tail_mean(k_end - 1, d)
                 if remainder <= settings.target_rel_truncation * d.n_spans * running:
                     truncation_m = k_end - 1
                     break
     if truncation_m is None:
-        mean = remainder = 0.0
-    body = math.fsum(values) + mean / d.n_spans
+        mean = oscillation = remainder = 0.0
+    body = math.fsum(values) + (mean + oscillation) / d.n_spans
     return IntegralReport(value=head + body, head=head, body=body,
                           tail_bound=remainder / d.n_spans, tail_mean=mean / d.n_spans,
+                          tail_oscillation=oscillation / d.n_spans,
                           delta=delta, panels_evaluated=len(values),
                           truncation_m=truncation_m)
 
@@ -143,13 +149,14 @@ def test_block_driver_matches_reference_without_truncation():
 
 
 def _first_admissible_m(d, settings, running):
-    """Linear scan for the smallest m whose remainder bound meets the target."""
+    """Scan for the smallest tested m (m + 1 a power of two) whose remainder
+    bound meets the target."""
     target = settings.target_rel_truncation * d.n_spans * running
     m = 1
     while (m + 1) * math.pi < d.zeta_max:
-        if tail_mean(m, d)[1] <= target:
+        if tail_mean(m, d)[2] <= target:
             return m
-        m += 1
+        m = 2 * m + 1
     return None
 
 

@@ -38,21 +38,21 @@ def test_gamma_csv_report():
     assert report["span_count"] == "60"
     assert float(report["zeta0"]) == pytest.approx(1088.770541700461, rel=1e-12)
     assert float(report["gamma_nl_per_w2"]) == pytest.approx(
-        10016.999151177208, rel=1e-12)
+        10016.992081055912, rel=1e-12)
     assert float(report["f_phase_hz"]) == pytest.approx(
         3085881986.6543927, rel=1e-12)
-    assert report["truncation_m"] == "57"
+    assert report["truncation_m"] == "31"
 
 
 def test_gamma_json_report():
     res = run_cli("gamma", "--config", ATLANTIC_CFG, "--format", "json")
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
-    assert report["truncation_m"] == 57
-    assert report["panels_evaluated"] == 66
-    assert report["gamma_nl_per_w2"] == pytest.approx(10016.999151177208,
+    assert report["truncation_m"] == 31
+    assert report["panels_evaluated"] == 40
+    assert report["gamma_nl_per_w2"] == pytest.approx(10016.992081055912,
                                                       rel=1e-12)
-    assert report["integral_value"] == pytest.approx(63.11466199097379,
+    assert report["integral_value"] == pytest.approx(63.11461744386851,
                                                      rel=1e-12)
 
 
@@ -87,7 +87,7 @@ def test_gamma_span_scaled_variant():
     report = json.loads(res.stdout)
     assert report["variant"] == "span_scaled"
     assert report["epsilon"] == 0.15
-    assert report["gamma_nl_per_w2"] == pytest.approx(13298.174925631536,
+    assert report["gamma_nl_per_w2"] == pytest.approx(13298.169924846743,
                                                       rel=1e-12)
 
 

@@ -125,8 +125,8 @@ def test_split_sweep_reference_link(settings):
     # the all-premium end wins and Q rises monotonically toward it
     qs = [r.q_opt_db for r in rows]
     assert all(b > a for a, b in zip(qs, qs[1:]))
-    assert qs[0] == pytest.approx(5.686229525601095, rel=1e-12)
-    assert qs[-1] == pytest.approx(7.690729642631102, rel=1e-12)
+    assert qs[0] == pytest.approx(5.686229808494038, rel=1e-12)
+    assert qs[-1] == pytest.approx(7.690729933988546, rel=1e-12)
     best = optimal_split(rows)
     assert best.split_ratio == 1.0
 
@@ -191,7 +191,7 @@ def test_split_sweep_with_length_dependent_mpi(settings):
         assert r.mpi == pytest.approx(model(r.first_length), rel=1e-15)
     best = optimal_split(rows)
     assert best.split_ratio == pytest.approx(0.4)
-    assert best.q_opt_db == pytest.approx(6.653748318586226, rel=1e-12)
+    assert best.q_opt_db == pytest.approx(6.653747857326112, rel=1e-12)
     assert 0.0 < best.split_ratio < 1.0
 
 

@@ -1,9 +1,10 @@
-"""The tail's closed-form mean and its certified remainder.
+"""The tail's closed form and its certified remainder.
 
-Past mu = (m+1)*pi the driver adds `tail_mean`'s mean of the tail and
-reports its remainder as `tail_bound`.  These tests hold both against the
-untruncated body on a grid of spans, span counts and channel counts, and
-hold the expansion behind them against the kernel.
+Past mu = (m+1)*pi the driver adds `tail_mean`'s mean of the tail and the
+leading term of its oscillation, and reports the remainder as `tail_bound`.
+These tests hold all three against the untruncated body on a grid of spans,
+span counts and channel counts, and hold the expansion behind them against
+the kernel and against term-by-term sums.
 """
 
 import math
@@ -49,29 +50,34 @@ def _derived(span, n_spans, channels):
 @pytest.mark.parametrize("n_spans", [1, 2, 60, 200])
 @pytest.mark.parametrize("span", sorted(SPANS))
 def test_remainder_bounds_the_tail_less_its_mean(span, n_spans, channels):
-    """At 6 log-spaced truncation points and at the driver's stop,
-    |n_spans * tail - mean| <= remainder, the tail integrated without
-    truncation; the driver's value is within tail_bound + 1e-7 I of the
-    untruncated integral."""
+    """At 6 log-spaced truncation points, the last two periods and the
+    driver's stop, |n_spans * tail - mean - oscillation| <= remainder, the
+    tail integrated without truncation; the driver's value is within
+    tail_bound + 1e-7 I of the untruncated integral."""
     d = _derived(span, n_spans, channels)
     rep = log_weighted_integral(d, QuadratureSettings())
     m_max = math.ceil(d.zeta_max / math.pi) - 2  # the largest m: (m+1)*pi < zeta_max
     while not (m_max + 1) * math.pi < d.zeta_max:
         m_max -= 1
-    ms = set(np.geomspace(1, m_max, 6).astype(int).tolist())
-    assert rep.truncation_m is not None
-    ms = np.array(sorted(ms | {rep.truncation_m}))
+    ms = set(np.geomspace(1, m_max, 6).astype(int).tolist()) | {m_max - 1, m_max}
+    if rep.truncation_m is None:  # no power of two period before zeta_max was admissible
+        assert rep.tail_bound == rep.tail_mean == rep.tail_oscillation == 0.0
+    else:
+        ms.add(rep.truncation_m)
+    ms = np.array(sorted(ms))
     # the tails past each mu, summed from the pieces between them
     cuts = [*((ms + 1) * math.pi), d.zeta_max]
     pieces = [integrate_body(a, b, d, UNTRUNCATED) for a, b in zip(cuts[:-1], cuts[1:])]
     tails = np.cumsum(pieces[::-1])[::-1]
-    mean, remainder = tail_mean(ms, d)
-    assert np.all(np.abs(n_spans * tails - mean) <= remainder)
+    mean, oscillation, remainder = tail_mean(ms, d)
+    assert np.all(np.abs(n_spans * tails - mean - oscillation) <= remainder)
 
     full = rep.head + integrate_body(rep.delta, cuts[0], d, UNTRUNCATED) + tails[0]
     assert abs(full - rep.value) <= rep.tail_bound + 1e-7 * full
     assert rep.value == rep.head + rep.body
-    assert rep.tail_mean == tail_mean(rep.truncation_m, d)[0] / n_spans
+    if rep.truncation_m is not None:
+        assert (rep.tail_mean, rep.tail_oscillation) == \
+            tuple(x / n_spans for x in tail_mean(rep.truncation_m, d)[:2])
 
 
 def _expansion(d):
@@ -106,6 +112,30 @@ def test_closed_form_mean_is_the_sum_of_the_resonant_terms(span, n_spans):
         assert tail_mean(m, d)[0] == pytest.approx(resonant * weight, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_spans", [1, 2, 7, 60])
+@pytest.mark.parametrize("span", sorted(SPANS))
+def test_oscillation_is_the_sum_of_the_leading_terms(span, n_spans):
+    """The oscillation is Re(c i e^{i w mu} / w) g(mu), g = ln(zeta_max/z)/z^2,
+    summed over every term c = b_j conj(b_l) (1 - |n|/N) of phi |S|^2 whose
+    frequency w = 2(n - (Lam_j - Lam_l)) has |w| >= |g'(mu)|/g(mu), term by
+    term in complex arithmetic, to 1e-9 of the sum of their magnitudes
+    |c| g(mu) / |w| (the phases of the terms carry rounding of w mu)."""
+    d = _derived(span, n_spans, 80)
+    lam, b, _ = _expansion(d)
+    for m in (1, 10, 100, 1000):
+        mu = (m + 1) * math.pi
+        log = math.log(d.zeta_max / mu)
+        g, cut = log / mu ** 2, (1.0 + 2.0 * log) / (log * mu)
+        terms = [(b[j] * np.conj(b[l]) * (1.0 - abs(n) / n_spans) * g / w,
+                  np.exp(1j * w * mu))
+                 for j in range(len(b)) for l in range(len(b))
+                 for n in range(1 - n_spans, n_spans)
+                 for w in [2.0 * (n - (lam[j] - lam[l]))] if abs(w) >= max(cut, 1e-9)]
+        total = math.fsum((c * 1j * phase).real for c, phase in terms)
+        scale = math.fsum(abs(c) for c, _ in terms)
+        assert abs(tail_mean(m, d)[1] - total) <= 1e-9 * scale
+
+
 @pytest.mark.parametrize("span", sorted(SPANS))
 def test_expansion_matches_the_kernel(span):
     """|z^2 eta(z) - |S(z)|^2| <= 2 s r / z + r^2 / z^2 with s = sum_j |b_j|:
@@ -121,11 +151,13 @@ def test_expansion_matches_the_kernel(span):
 
 def test_tail_mean_array_matches_scalar_calls(d_atlantic):
     ms = np.arange(1, 340)
-    mean, remainder = tail_mean(ms, d_atlantic)
-    assert mean.shape == remainder.shape == ms.shape
-    for m, a, r in zip(ms.tolist(), mean.tolist(), remainder.tolist()):
-        assert (a, r) == tail_mean(m, d_atlantic)
-    # the whole tail lies in [0, tight], so |tail - mean| <= tight too
+    mean, oscillation, remainder = tail_mean(ms, d_atlantic)
+    assert mean.shape == oscillation.shape == remainder.shape == ms.shape
+    for m, a, o, r in zip(ms.tolist(), mean.tolist(), oscillation.tolist(),
+                          remainder.tolist()):
+        assert (a, o, r) == tail_mean(m, d_atlantic)
+    # the whole tail lies in [0, tight], so |tail - mean - oscillation| <= tight
+    # too while the closed form does
     assert np.all(remainder <= truncation_bound(ms, d_atlantic)[0])
     with pytest.raises(ValueError):
         tail_mean(0, d_atlantic)
@@ -135,4 +167,4 @@ def test_tail_mean_array_matches_scalar_calls(d_atlantic):
 
 def test_tail_mean_is_zero_without_nonlinearity(hybrid_span):
     span = SpanPlan(tuple(replace(seg, gamma=0.0) for seg in hybrid_span.segments))
-    assert tail_mean(5, derive_span(span, ATLANTIC)) == (0.0, 0.0)
+    assert tail_mean(5, derive_span(span, ATLANTIC)) == (0.0, 0.0, 0.0)
