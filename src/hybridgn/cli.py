@@ -327,6 +327,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 m_list = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
             except ValueError as exc:
                 raise ConfigError(f"--m-list must be comma-separated integers: {exc}")
+            if not m_list:
+                raise ConfigError("--m-list names no m")
             text, code = cmd_bound(cfg, m_list)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

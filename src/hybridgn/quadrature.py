@@ -448,32 +448,22 @@ def _tail_law(d: DerivedSpan,
     c_inf = np.sum(size ** 2) + 2.0 * (1.0 - 1.0 / n) * beta[0] * beta[-1]
     r = np.sum(strength * (front[:-1] + front[1:]) * d.nu / (2.0 * d.lam ** 2))
     sr2, r2 = 2.0 * np.sum(size) * r, r * r
-    # the terms by |w|, those of the mean zeroed by index; w = 0 is below every cut
+    # the beat terms |c| at |w|, those of the mean zeroed by index, and 1/|w|
+    # (0 at w = 0, where every |c| is 0)
     fejer = 1.0 - np.abs(np.arange(1 - n, n)) / n
     signed = 2.0 * (np.arange(1 - n, n) - (lam[:, None, None] - lam[None, :, None]))
     coef = size[:, None, None] * size[None, :, None] * fejer
     coef[np.arange(len(beta)), np.arange(len(beta)), n - 1] = 0.0
     if n > 1:
         coef[-1, 0, n] = coef[0, -1, n - 2] = 0.0
-    omega = np.abs(signed).ravel()
-    order = np.argsort(omega)
-    omega, coef = omega[order], coef.ravel()[order]
-
-    def from_cut(x):  # the sums of x over the terms from each cut on
-        return np.append(np.cumsum(x[..., ::-1], axis=-1)[..., ::-1],
-                         np.zeros(x.shape[:-1] + (1,)), axis=-1)
-    capped = np.concatenate(([0.0], np.cumsum(coef)))
-    nonzero = omega > 0.0
-    beats = from_cut(np.divide(coef, omega, out=np.zeros_like(coef), where=nonzero))
-    squares = from_cut(np.divide(coef, omega ** 2, out=np.zeros_like(coef), where=nonzero))
+    omega, coef = np.abs(signed).ravel(), coef.ravel()
+    inverse = np.divide(1.0, omega, out=np.zeros_like(omega), where=omega > 0.0)
     # the oscillation comes from the pairs j > l but (K, 0), whose sine
-    # vanishes on multiples of pi (Lam_K = 1), as (j, l) and (l, j) alike;
-    # per pair the terms by |w| and the sums of (1 - |n|/N)/w from each cut on
+    # vanishes on multiples of pi (Lam_K = 1), as (j, l) and (l, j) alike
     j, l = np.tril_indices(len(beta), -1)
     j, l = j[j - l < len(beta) - 1], l[j - l < len(beta) - 1]
-    by_size = np.argsort(np.abs(signed[j, l]), axis=1)
-    pair_w = np.take_along_axis(signed[j, l], by_size, axis=1)
-    pair_sums = from_cut(fejer[by_size] / pair_w)
+    pair_w = signed[j, l]
+    pair_terms, pair_size = fejer / pair_w, np.abs(pair_w)
     pair_coef, pair_lam = 2.0 * beta[j] * beta[l], lam[j] - lam[l]
 
     def law(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -487,21 +477,19 @@ def _tail_law(d: DerivedSpan,
         big_g = np.maximum(moment(2), 0.0)
         g = log / mu ** 2
         slope = (1.0 + 2.0 * log) / mu ** 3  # |g'(mu)|
-        # terms below the |w| where 2 g(mu)/|w| = G(mu) take G(mu), the rest
-        # 2 g(mu)/|w| up to |w| = |g'(mu)|/g(mu) and 2 |g'(mu)|/w^2 past it
-        corrected = slope / g
-        cut = np.searchsorted(omega, np.divide(2.0 * g, big_g, out=np.full_like(mu, np.inf),
-                                               where=big_g > 0.0), side="right")
-        cut_c = np.searchsorted(omega, corrected)
-        cut = np.minimum(cut, cut_c)
-        oscillating = big_g * capped[cut] + 2.0 * g * (beats[cut] - beats[cut_c]) \
-            + 2.0 * slope * squares[cut_c]
+        # every sum runs along the last axis, so each m gets its scalar call's
+        # result; a term below |w| = |g'(mu)|/g(mu) is at most |c| min(G(mu),
+        # 2 g(mu)/|w|), one from it on leaves at most 2 |c g'(mu)|/w^2
+        corrected = (slope / g)[:, None]
+        oscillating = np.sum(coef * np.where(
+            omega < corrected, np.minimum(big_g[:, None], 2.0 * g[:, None] * inverse),
+            2.0 * slope[:, None] * inverse ** 2), axis=-1)
         slow = math.pi * log * (sr2 / mu ** 3 + r2 / mu ** 4) + sr2 * moment(3) \
             + r2 * moment(4)
-        kept = np.take_along_axis(
-            pair_sums, np.sum(np.abs(pair_w)[:, :, None] < corrected, axis=1), axis=1)
-        oscillation = g * np.sum(pair_coef[:, None] * np.sin(2.0 * np.outer(pair_lam, mu))
-                                 * kept, axis=0)
+        # per pair, the sum of (1 - |n|/N)/w over its terms with |w| >= the cut
+        kept = np.sum(np.where(pair_size >= corrected[:, :, None], pair_terms, 0.0), axis=-1)
+        oscillation = g * np.sum(pair_coef * np.sin(2.0 * np.outer(mu, pair_lam)) * kept,
+                                 axis=-1)
         mean = c_inf * big_g
         closed = mean + oscillation
         return mean, oscillation, np.minimum(oscillating + slow,
@@ -544,8 +532,7 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
 # 2-D cross-check
 
 
-def brute_force_gamma_integral(d: DerivedSpan, grid_n: int,
-                               integrand: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> float:
+def brute_force_gamma_integral(d: DerivedSpan, grid_n: int) -> float:
     """First-quadrant 2-D Simpson integral of xi(f1 f2 / (2 f_phase^2)).
 
     Integrates over [0, b0/2] x [0, b0/2] with grid_n subintervals per axis
@@ -555,14 +542,12 @@ def brute_force_gamma_integral(d: DerivedSpan, grid_n: int,
     """
     if grid_n < 2 or grid_n % 2:
         raise ValueError("grid_n must be even and >= 2")
-    if integrand is None:
-        integrand = lambda z: xi(z, d)
     half = d.b0 / 2.0
     f = np.linspace(0.0, half, grid_n + 1)
     w = np.ones(grid_n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     zeta_grid = np.outer(f, f) / (2.0 * d.f_phase * d.f_phase)
-    vals = np.asarray(integrand(zeta_grid), dtype=float)
+    vals = xi(zeta_grid, d)
     h = half / grid_n
     return math.fsum(((w[:, None] * w[None, :]) * vals).ravel().tolist()) * h * h / 9.0

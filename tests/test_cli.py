@@ -437,6 +437,13 @@ def test_bound_rejects_malformed_m_list():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("m_list", [",", "", " , "])
+def test_bound_rejects_an_empty_m_list(m_list):
+    res = run_cli("bound", "--config", ATLANTIC_CFG, "--m-list", m_list)
+    assert res.returncode == 2 and res.stdout == b""
+    assert res.stderr.decode() == "config error: --m-list names no m\n"
+
+
 def test_missing_config_file():
     res = run_cli("gamma", "--config", "/nonexistent/nowhere.json")
     assert res.returncode == 2

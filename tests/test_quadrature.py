@@ -20,6 +20,7 @@ from hybridgn import (
     truncation_bound,
     xi,
 )
+from hybridgn import quadrature
 from hybridgn.quadrature import (_HEAD_U, _HEAD_W, _gauss_legendre, _rows, _simpson_block,
                                  tail_mean)
 from conftest import (ATLANTIC, QSMF, SMF, TOY, fejer_log_moment, fejer_running_integral,
@@ -460,15 +461,16 @@ def test_brute_force_grid_validation(d_toy):
         brute_force_gamma_integral(d_toy, 0)
 
 
-def test_brute_force_constant_integrand(d_toy):
-    val = brute_force_gamma_integral(d_toy, 8,
-                                     integrand=lambda z: np.ones_like(z))
+def test_brute_force_constant_integrand(d_toy, monkeypatch):
+    monkeypatch.setattr(quadrature, "xi", lambda z, d: np.ones_like(z))
+    val = brute_force_gamma_integral(d_toy, 8)
     assert val == pytest.approx((d_toy.b0 / 2.0) ** 2, rel=1e-13)
 
 
-def test_brute_force_bilinear_integrand(d_toy):
+def test_brute_force_bilinear_integrand(d_toy, monkeypatch):
     # with xi(z) = z the quadrant integral is (half^2/2)^2 / (2 f_phase^2)
-    val = brute_force_gamma_integral(d_toy, 16, integrand=lambda z: z)
+    monkeypatch.setattr(quadrature, "xi", lambda z, d: z)
+    val = brute_force_gamma_integral(d_toy, 16)
     half = d_toy.b0 / 2.0
     expected = (half * half / 2.0) ** 2 / (2.0 * d_toy.f_phase ** 2)
     assert val == pytest.approx(expected, rel=1e-13)

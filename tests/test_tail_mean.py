@@ -46,6 +46,14 @@ def _derived(span, n_spans, channels):
                                             channel_count=channels))
 
 
+def _largest_m(d):
+    """The largest m with (m+1)*pi < zeta_max."""
+    m = math.ceil(d.zeta_max / math.pi) - 2
+    while not (m + 1) * math.pi < d.zeta_max:
+        m -= 1
+    return m
+
+
 @pytest.mark.parametrize("channels", [3, 9, 80])
 @pytest.mark.parametrize("n_spans", [1, 2, 60, 200])
 @pytest.mark.parametrize("span", sorted(SPANS))
@@ -56,9 +64,7 @@ def test_remainder_bounds_the_tail_less_its_mean(span, n_spans, channels):
     tail_bound + 1e-7 I of the untruncated integral."""
     d = _derived(span, n_spans, channels)
     rep = log_weighted_integral(d, QuadratureSettings())
-    m_max = math.ceil(d.zeta_max / math.pi) - 2  # the largest m: (m+1)*pi < zeta_max
-    while not (m_max + 1) * math.pi < d.zeta_max:
-        m_max -= 1
+    m_max = _largest_m(d)
     ms = set(np.geomspace(1, m_max, 6).astype(int).tolist()) | {m_max - 1, m_max}
     if rep.truncation_m is None:  # no power of two period before zeta_max was admissible
         assert rep.tail_bound == rep.tail_mean == rep.tail_oscillation == 0.0
@@ -136,6 +142,52 @@ def test_oscillation_is_the_sum_of_the_leading_terms(span, n_spans):
         assert abs(tail_mean(m, d)[1] - total) <= 1e-9 * scale
 
 
+def _log_moment(p, mu, zeta_max):
+    """int_mu^zeta_max ln(zeta_max/z)/z^p dz, from the antiderivative
+    z^(1-p) (ln(zeta_max/z) + 1/(1-p)) / (1-p)."""
+    def antiderivative(z):
+        return z ** (1 - p) * (math.log(zeta_max / z) + 1.0 / (1 - p)) / (1 - p)
+    return antiderivative(zeta_max) - antiderivative(mu)
+
+
+@pytest.mark.parametrize("n_spans", [1, 2, 7, 60])
+@pytest.mark.parametrize("span", sorted(SPANS))
+def test_remainder_is_the_sum_of_the_term_bounds(span, n_spans):
+    """The remainder is, to 1e-12, tail_mean's rule applied term by term:
+    each term c = b_j conj(b_l) (1 - |n|/N) of phi |S|^2 at a frequency
+    w = 2(n - (Lam_j - Lam_l)) != 0 adds |c| min(G, 2 g(mu)/|w|) below
+    |w| = |g'(mu)|/g(mu) and 2 |c g'(mu)|/w^2 from it on, with g =
+    ln(zeta_max/z)/z^2 and G its integral past mu; the R part adds
+    pi h(mu) + int_mu h; and max(tight - T, T) caps the sum, T the closed
+    form tail_mean returns."""
+    d = _derived(span, n_spans, 9)
+    lam, b, r = _expansion(d)
+    s = sum(abs(x) for x in b)
+    for m in (1, 10, 100):
+        mu = (m + 1) * math.pi
+        log = math.log(d.zeta_max / mu)
+        g, slope = log / mu ** 2, (1.0 + 2.0 * log) / mu ** 3
+        big_g = _log_moment(2, mu, d.zeta_max)
+        terms = []
+        for j in range(len(b)):
+            for l in range(len(b)):
+                for n in range(1 - n_spans, n_spans):
+                    w = abs(2.0 * (n - (lam[j] - lam[l])))
+                    if w < 1e-9:  # a term of the mean
+                        continue
+                    c = abs(b[j] * np.conj(b[l])) * (1.0 - abs(n) / n_spans)
+                    terms.append(c * min(big_g, 2.0 * g / w) if w < slope / g
+                                 else 2.0 * c * slope / (w * w))
+        slow = math.pi * log * (2.0 * s * r / mu ** 3 + r * r / mu ** 4) \
+            + 2.0 * s * r * _log_moment(3, mu, d.zeta_max) \
+            + r * r * _log_moment(4, mu, d.zeta_max)
+        mean, oscillation, remainder = tail_mean(m, d)
+        closed = mean + oscillation
+        tight = truncation_bound(m, d)[0]
+        expected = min(math.fsum(terms) + slow, max(tight - closed, closed))
+        assert remainder == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("span", sorted(SPANS))
 def test_expansion_matches_the_kernel(span):
     """|z^2 eta(z) - |S(z)|^2| <= 2 s r / z + r^2 / z^2 with s = sum_j |b_j|:
@@ -149,20 +201,35 @@ def test_expansion_matches_the_kernel(span):
     assert np.all(gap <= (2.0 * s * r / z + r * r / z / z) * (1.0 + 1e-9) + 1e-12 * s * s)
 
 
-def test_tail_mean_array_matches_scalar_calls(d_atlantic):
-    ms = np.arange(1, 340)
-    mean, oscillation, remainder = tail_mean(ms, d_atlantic)
+#: Spans of four and five distinct fibers: (K+1)^2 (2N-1) beat terms with
+#: many pairs j > l, so the sums run over wide term tables.
+FOUR_FIBER = SpanPlan(THREE_FIBER.segments + (replace(SMF, name="f4", length=25e3),))
+FIVE_FIBER = SpanPlan((replace(QSMF, name="f0", length=15e3),) + FOUR_FIBER.segments)
+
+
+@pytest.mark.parametrize("span, n_spans", [
+    ("two segments", 60),
+    *((span, n) for span in ("four segments", "five segments") for n in (1, 2, 60, 200)),
+])
+def test_tail_mean_array_matches_scalar_calls(span, n_spans):
+    """Every m of one array call gives exactly its scalar call's three values."""
+    plan = {"two segments": SpanPlan((QSMF, SMF)), "four segments": FOUR_FIBER,
+            "five segments": FIVE_FIBER}[span]
+    d = derive_span(plan, replace(ATLANTIC, span_count=n_spans))
+    m_max = _largest_m(d)
+    ms = np.arange(1, m_max + 1)
+    mean, oscillation, remainder = tail_mean(ms, d)
     assert mean.shape == oscillation.shape == remainder.shape == ms.shape
     for m, a, o, r in zip(ms.tolist(), mean.tolist(), oscillation.tolist(),
                           remainder.tolist()):
-        assert (a, o, r) == tail_mean(m, d_atlantic)
+        assert (a, o, r) == tail_mean(m, d)
     # the whole tail lies in [0, tight], so |tail - mean - oscillation| <= tight
     # too while the closed form does
-    assert np.all(remainder <= truncation_bound(ms, d_atlantic)[0])
+    assert np.all(remainder <= truncation_bound(ms, d)[0])
     with pytest.raises(ValueError):
-        tail_mean(0, d_atlantic)
+        tail_mean(0, d)
     with pytest.raises(ValueError):
-        tail_mean(347, d_atlantic)
+        tail_mean(m_max + 1, d)
 
 
 def test_tail_mean_is_zero_without_nonlinearity(hybrid_span):
