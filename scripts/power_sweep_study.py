@@ -80,8 +80,7 @@ def main(argv=None):
             f"{linear_to_db(osnr):.3f}",
             f"{q_factor(osnr, SYSTEM):.3f}",
         ])
-    _write(sink.getvalue(), args.output)
-    return 0
+    return _write(sink.getvalue(), args.output)
 
 
 if __name__ == "__main__":

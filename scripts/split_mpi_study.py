@@ -80,8 +80,7 @@ def main(argv=None):
             f"{linear_to_db(best.osnr_opt):.3f}",
             repr(best.q_opt_db),
         ])
-    _write(sink.getvalue(), args.output)
-    return 0
+    return _write(sink.getvalue(), args.output)
 
 
 if __name__ == "__main__":

@@ -296,13 +296,20 @@ def _set_flags(raw: Dict[str, Any], args: argparse.Namespace) -> None:
         put("output", "path", args.output)
 
 
-def _write(text: str, path: Optional[str]) -> None:
-    """Write `text` to the file `path`, or to stdout for None or "-"."""
+def _write(text: str, path: Optional[str]) -> int:
+    """Write `text` to the file `path`, or to stdout for None or "-"; return
+    0, or 2 after a config error line when the file cannot be written."""
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"config error: cannot write output {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -336,5 +343,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    _write(text, cfg.output_path)
-    return code
+    return _write(text, cfg.output_path) or code

@@ -5,7 +5,8 @@ xi(zeta) = phi(zeta) * eta(zeta): a phased-array factor phi carrying the
 span-to-span coherence and an FWM efficiency eta carrying the intra-span
 interference of all fiber segments.  Both are evaluated here, vectorized
 over zeta.  On a period layout zeta = s + tau (s a multiple of pi), phi is
-taken on tau alone and each segment phase is a factor of s times one of tau.
+taken on tau alone and each segment phase is a factor of s times one of tau;
+the layout may bring both tau parts, built once for rows that share tau.
 
 eta keeps the dimensional factor (gamma * length)^2, so it is in 1/W^2;
 phi is dimensionless and lies in [0, 1].
@@ -58,29 +59,37 @@ def _quotient(x: np.ndarray, e: np.ndarray, may_be_small: bool = True, out=None)
     return np.divide(np.subtract(1.0, e, out=out), x, out=out)
 
 
-def _segment_amplitude(zeta: np.ndarray, d: DerivedSpan, s, tau, work) -> np.ndarray:
+def _wave(lam: float, tau) -> np.ndarray:
+    """A segment's offset factor e^{-2i lam tau}."""
+    return np.exp(-2j * lam * tau)
+
+
+def _segment_amplitude(zeta: np.ndarray, d: DerivedSpan, s, tau, waves, work) -> np.ndarray:
     """Coherent sum of per-segment FWM amplitudes, in 1/W, per node s + tau.
 
     Segment k has x_k = 2 (nu_k + i lam_k zeta) and contributes
     gamma_k L_k (1 - e^{-x_k}) / x_k behind the loss and phase
     e^{-sum_{m<k} x_m} of the segments in front; the front factor is the
     running product of the e^{-x_k}.  Each e^{-x_k} is the product of
-    e^{-2 nu_k - 2i lam_k s}, one per row start, and e^{-2i lam_k tau}, one
-    per offset: rows that share their offsets take one complex exp per row
-    and one per offset instead of a cos and a sin per node.
+    e^{-2 nu_k - 2i lam_k s}, one per row start, and e^{-2i lam_k tau} (from
+    `waves` when given), one per offset: rows that share their offsets take
+    one complex exp per row and one per offset instead of a cos and a sin.
     """
     amp, front, e, x, q = (_buffer(work, name, zeta.shape)
                            for name in ("amp", "front", "e", "x", "q"))
-    amp.fill(0.0)
-    front.fill(1.0)
-    for nu, lam, gamma, length in zip(d.nu, d.lam, d.gammas, d.lengths):
+    for i, (nu, lam, gamma, length) in enumerate(zip(d.nu, d.lam, d.gammas, d.lengths)):
+        if i > 1:  # the front of segment i + 1; the last e^{-x_K} is never taken
+            front *= e
+        elif i:  # the first segment's e^{-x_1}, whose term started the sum
+            front, e = e, front
         x.real.fill(2.0 * nu)
         np.multiply(zeta, 2.0 * lam, out=x.imag)
-        np.multiply(np.exp(-2.0 * nu - 2j * lam * s), np.exp(-2j * lam * tau), out=e)
-        _quotient(x, e, 2.0 * nu < SERIES_SWITCH, out=q)
-        q *= gamma * length
-        amp += np.multiply(q, front, out=q)
-        front *= e
+        np.multiply(np.exp(-2.0 * nu - 2j * lam * s),
+                    _wave(lam, tau) if waves is None else waves[i], out=e)
+        term = _quotient(x, e, 2.0 * nu < SERIES_SWITCH, out=q if i else amp)
+        term *= gamma * length
+        if i:
+            amp += np.multiply(q, front, out=q)
     return amp
 
 
@@ -94,7 +103,8 @@ def fwm_efficiency(zeta, d: DerivedSpan, layout=None, work=None):
     """
     z = np.atleast_1d(np.asarray(zeta, dtype=float))
     s, tau = (0.0, z) if layout is None else (layout[0][:, None], layout[1])
-    amp = _segment_amplitude(z, d, s, tau, work)
+    waves = layout[3] if layout is not None and len(layout) > 3 else None
+    amp = _segment_amplitude(z, d, s, tau, waves, work)
     eta = np.square(amp.real, out=_buffer(work, "eta", z.shape, float))
     eta += np.square(amp.imag, out=amp.imag)
     return float(eta[0]) if np.ndim(zeta) == 0 else eta
@@ -124,10 +134,13 @@ def xi(zeta, d: DerivedSpan, layout=None, work=None):
 
     A `layout` (s, tau) gives the nodes as zeta = s[:, None] + tau: row
     starts s_i at multiples of pi, and offsets tau with one row shared by all
-    or one row each.  phi is pi-periodic, so it is taken on tau.  No layout
+    or one row each.  phi is pi-periodic, so it is taken on tau; a layout
+    (s, tau, phi, waves) brings phi(tau) and the list of each segment's
+    e^{-2i lam_k tau}, built once for calls that share tau.  No layout
     means s = 0, tau = zeta.  With a `work` dict the buffers are kept across
     calls, and the result is a view into them.
     """
-    phi = phased_array(zeta if layout is None else layout[1], d.n_spans)
+    given = layout is not None and len(layout) > 2
+    phi = layout[2] if given else phased_array(zeta if layout is None else layout[1], d.n_spans)
     eta = fwm_efficiency(zeta, d, layout, work)
     return phi * eta if work is None else np.multiply(phi, eta, out=eta)

@@ -16,14 +16,16 @@ oscillates with period pi.  The evaluator splits the range into
 
 The body's layout is decided in one place, :func:`_pi_panels`: it gives each
 panel its Simpson subinterval count from the panel's nominal length (pi for
-every whole period, so all periods get the same count) and groups
-consecutive panels with equal counts into blocks of at most BLOCK_NODES
-nodes, so no array grows with zeta_max.  Each block is one grid of rows
-s_i + tau (s_i a multiple of pi; whole periods share one row of offsets
-tau), one kernel call on that layout and one row sum with the Simpson
-weights, in arrays that each thread keeps across its integrals (grown, not
-renewed; those past one block of BLOCK_NODES nodes go when their integral
-returns).
+every whole period, so all periods get the same count) and groups the
+panels into blocks of at most BLOCK_NODES nodes, so no array grows with
+zeta_max.  Whole periods share one row of offsets tau, its Simpson weights,
+phi(tau) and each segment's phase factor on tau, all built once per
+integral: a block of them is one grid of rows s_i + tau (s_i a multiple of
+pi), one kernel call and one row sum.  The other panels (graded below pi,
+a partial first one, the last) are one kernel call per block on their nodes
+laid end to end, each summed on its own.  The kernel arrays are ones that
+each thread keeps across its integrals (grown, not renewed; those past one
+block of BLOCK_NODES nodes go when their integral returns).
 Per block, :func:`tail_mean` gives each panel that closes a period k = m + 1
 that is a power of two the tail's closed form past it and a certified bound
 on the rest.  The body stops at the first whose bound is within the target
@@ -46,7 +48,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import _buffer, fwm_efficiency, phased_array, xi
+from .kernel import _buffer, _wave, phased_array, xi
 from .link import DerivedSpan
 
 __all__ = [
@@ -201,17 +203,19 @@ def refined_singular_head(delta: float, d: DerivedSpan,
         raise ValueError("delta must lie in (0, min(zeta_max, 3*sqrt(3)/n_spans)]")
     spacing = math.pi / (d.n_spans * settings.nodes_per_oscillation)
     n_sub = max(16, 2 * int(math.ceil(delta / spacing / 2.0)))
-    mass = float(_simpson_block(*_rows(np.zeros(1), np.array([delta]), n_sub, False),
-                                lambda z, layout: xi(z, d))[0])
+    values = xi(np.linspace(0.0, delta, n_sub + 1)[None, :], d)
+    mass = float(np.einsum("ij,j->i", values, _simpson_weights(n_sub))[0]
+                 * (delta / n_sub) / 3.0)
     moment = delta * float(_HEAD_W @ phased_array(delta * _HEAD_U, d.n_spans))
-    return math.log(d.zeta_max / delta) * mass + fwm_efficiency(0.0, d) * moment
+    # phi(0) = 1, so the mass block's first node holds eta(0)
+    return math.log(d.zeta_max / delta) * mass + float(values[0, 0]) * moment
 
 
 # ---------------------------------------------------------------------------
 # body
 
-#: Kernel nodes per block of periods at most (a period with more nodes than
-#: that is a block of its own).
+#: Kernel nodes per block at most (a panel with more nodes than that is a
+#: block of its own).
 BLOCK_NODES = 1 << 14
 
 #: Each thread's node grid and kernel arrays, kept across its integrals so
@@ -220,11 +224,18 @@ BLOCK_NODES = 1 << 14
 _BLOCK_ARRAYS = threading.local()
 
 
-def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int,
-               ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+def _subintervals(length, n_spans: int, per_osc: int) -> np.ndarray:
+    """Simpson subintervals of panels of nominal length `length`: per_osc per
+    oscillation of phi (n_spans per period), even and at least 2 * per_osc."""
+    return np.maximum(2 * per_osc, 2 * np.ceil(length / math.pi * (n_spans * per_osc) / 2.0)
+                      ).astype(np.int64)
+
+
+def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int, row: np.ndarray,
+               ) -> Iterator[Tuple[np.ndarray, object, np.ndarray, np.ndarray]]:
     """Split [lower, upper] at multiples of pi; yield the panels one block at
-    a time as (s, tau, h, k), in the layout of :func:`_rows`: per panel the
-    start s of its row of nodes s + tau, its Simpson step h and the period
+    a time as (s, tau, h, k), in the layout of :func:`_simpson_block`: per
+    panel the start s of its nodes s + tau, its Simpson step h and the period
     k >= 2 that it closes (b = k*pi < upper), or 0.
 
     Below the first pi edge the log weight still varies on the scale of zeta
@@ -232,26 +243,24 @@ def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int,
     as long as its distance from the origin); uniform pi panels would
     otherwise lose four orders of accuracy right above the head cut.
 
-    A panel of nominal length L gets max(2 * per_osc, the even number at or
-    above L/pi * n_spans * per_osc) subintervals: per_osc per oscillation of
-    phi, which has n_spans of them per period.  L is pi for a whole period,
-    so every period gets the same count, and b - a for the graded panels, a
-    partial first panel and the last panel.  Consecutive panels with equal
-    counts share a block; a block of periods holds at most BLOCK_NODES nodes,
-    or one period when that alone holds more.
+    A panel of nominal length L gets :func:`_subintervals` of L: pi for a
+    whole period, so all periods get the same count n, else b - a.  Whole
+    periods share `row`, the offsets linspace(0, pi, n + 1), from s = (k - 1)
+    pi; the others come as s = 0 and the list of their nodes np.linspace(a,
+    b).  A block holds at most BLOCK_NODES nodes, or one larger panel.
     """
-    def count(length):
-        return np.maximum(2 * per_osc,
-                          2 * np.ceil(length / math.pi * (n_spans * per_osc) / 2.0)
-                          ).astype(np.int64)
+    def own_nodes(a, b, k):
+        n_sub = _subintervals(b - a, n_spans, per_osc)
+        nodes = [np.linspace(x, y, n + 1) for x, y, n in zip(a, b, n_sub)]
+        h, ends = (b - a) / n_sub, np.cumsum(n_sub + 1)
+        i = 0
+        while i < len(a):
+            j = max(i + 1, int(np.searchsorted(ends, ends[i] - len(nodes[i]) + BLOCK_NODES,
+                                               "right")))
+            yield np.zeros(j - i), nodes[i:j], h[i:j], k[i:j]
+            i = j
 
-    def runs(a, b, n_sub, k, periods):
-        cuts = [0, *(np.flatnonzero(np.diff(n_sub)) + 1), len(a)]
-        for i, j in zip(cuts[:-1], cuts[1:]):
-            whole = periods and bool(k[i:j].all())
-            yield (*_rows(a[i:j], b[i:j], int(n_sub[i]), whole), k[i:j])
-
-    period = int(count(math.pi))
+    period = row.shape[1] - 1
     per_block = max(1, BLOCK_NODES // (period + 1))
     edges = [lower]
     # grading needs a positive anchor; integrands starting at zero are smooth
@@ -264,42 +273,44 @@ def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int,
     # the stretch up to the first multiple of pi, where only a partial first
     # panel (lower >= pi) can close a period
     a, b = np.array(edges), np.append(edges[1:], min(k * math.pi, upper))
-    closes = np.where(b < upper, k if k >= 2 else 0, 0)
-    yield from runs(a, b, count(b - a), closes, False)
-    while b[-1] < upper:
+    yield from own_nodes(a, b, np.where(b < upper, k if k >= 2 else 0, 0))
+    while k * math.pi < upper:
         ks = np.arange(k + 1, k + 1 + per_block)
-        ends = np.append(ks[ks * math.pi < upper] * math.pi, upper)[:per_block]
-        a, b = np.append(b[-1], ends[:-1]), ends
-        closes = np.where(b < upper, ks[:len(b)], 0)
-        yield from runs(a, b, np.where(closes > 0, period, count(b - a)), closes, True)
-        k += per_block
+        ks = ks[ks * math.pi < upper]
+        if len(ks):
+            a = (ks - 1) * math.pi
+            yield a, row, (ks * math.pi - a) / period, ks
+        k += len(ks)
+        if len(ks) < per_block:  # the last panel, [k pi, upper]
+            yield from own_nodes(np.array([k * math.pi]), np.array([upper]), np.zeros(1, int))
+            return
 
 
-def _rows(a: np.ndarray, b: np.ndarray, n_sub: int, whole: bool,
-          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layout (s, tau, h) of the panels [a_i, b_i] with n_sub Simpson
-    subintervals each: nodes s_i + tau_i, step h_i = (b_i - a_i) / n_sub.
-    Whole periods (b_i = a_i + pi) start at s_i = a_i and share one row of
-    offsets pi*j/n_sub; other panels start at the multiple of pi at or below
-    a_i (0 below pi, where the nodes are np.linspace(a_i, b_i)), with a row
-    of offsets each."""
-    h = (b - a) / n_sub
-    if whole:
-        return a, np.linspace(0.0, math.pi, n_sub + 1)[None, :], h
-    s = np.floor(a / math.pi) * math.pi
-    return s, np.linspace(a - s, b - s, n_sub + 1, axis=1), h
-
-
-def _simpson_block(s: np.ndarray, tau: np.ndarray, h: np.ndarray,
-                   f: Callable[[np.ndarray, tuple], np.ndarray], work=None) -> np.ndarray:
-    """Composite-Simpson values of the panels of a layout (s, tau, h) from
-    one call f(nodes, (s, tau)) on their grid, kept in `work` when given.
-    The rows are summed without BLAS, whose threads gain no wall time."""
-    nodes = np.add(s[:, None], tau, out=_buffer(work, "nodes", (len(s), tau.shape[1]), float))
-    weights = np.full(tau.shape[1], 2.0)
+def _simpson_weights(n_sub: int) -> np.ndarray:
+    """Composite-Simpson weights 1, 4, 2, ..., 4, 1 of n_sub subintervals."""
+    weights = np.full(n_sub + 1, 2.0)
     weights[1::2] = 4.0
     weights[[0, -1]] = 1.0
-    return np.einsum("ij,j->i", f(nodes, (s, tau)), weights) * h / 3.0
+    return weights
+
+
+def _simpson_block(s: np.ndarray, tau, h: np.ndarray, f: Callable, work=None,
+                   shared: Optional[tuple] = None) -> np.ndarray:
+    """Composite-Simpson values of the panels of a layout (s, tau, h) from
+    one call f(nodes, (s, tau)) on their grid, kept in `work` when given.  For
+    a tau of one row shared by all, `shared` may bring its Simpson weights,
+    phi and phase factors: then the call is f(nodes, (s, tau, phi, waves)).
+    A list tau holds the nodes of panels of any lengths at s = 0: one call
+    f(nodes, None) on them all.  The rows are summed without BLAS, whose
+    threads gain no wall time."""
+    if isinstance(tau, list):
+        ends = np.cumsum([len(t) for t in tau])
+        values = f(np.concatenate(tau, out=_buffer(work, "nodes", (ends[-1],), float)), None)
+        return np.concatenate([np.einsum("ij,j->i", v[None, :], _simpson_weights(len(v) - 1))
+                               for v in np.split(values, ends[:-1])]) * h / 3.0
+    nodes = np.add(s[:, None], tau, out=_buffer(work, "nodes", (len(s), tau.shape[1]), float))
+    weights, *offsets = shared or (_simpson_weights(tau.shape[1] - 1),)
+    return np.einsum("ij,j->i", f(nodes, (s, tau, *offsets)), weights) * h / 3.0
 
 
 def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
@@ -310,14 +321,21 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
     panels of [lower, upper], bounded and evaluated one block of
     :func:`_pi_panels` at a time.
 
-    The blocks share this thread's node grid and kernel arrays, grown for a
-    larger block.  With `truncate`, the sum stops at the first panel closing a
+    The offsets of a whole period, their Simpson weights, phi and each
+    segment's phase factor on them are built once per integral; the blocks
+    share this thread's node grid and kernel arrays, grown for a larger
+    block.  With `truncate`, the sum stops at the first panel closing a
     period k, a power of two, whose :func:`tail_mean` remainder (m = k - 1)
     is <= target * (head + panels so far).  Returns (sum of the panels,
     panels evaluated, m or None, and tail_mean's three values at the stop, or
     zeros).
     """
     work: dict = vars(_BLOCK_ARRAYS)  # this thread's own dict
+    per_osc = settings.nodes_per_oscillation
+    period = int(_subintervals(math.pi, d.n_spans, per_osc))
+    row = np.linspace(0.0, math.pi, period + 1)[None, :]
+    shared = (_simpson_weights(period), phased_array(row, d.n_spans),
+              [_wave(lam, row) for lam in d.lam])
 
     def f(z, layout):
         weight = _buffer(work, "weight", z.shape, float)
@@ -328,7 +346,7 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
     law = _tail_law(d) if truncate else None
     values: List[float] = []
     try:
-        for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, settings.nodes_per_oscillation):
+        for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, per_osc, row):
             # NaN where no stop is allowed: it compares false against any estimate
             bound, mean, swing = np.full(len(s), np.nan), np.zeros(len(s)), np.zeros(len(s))
             tested = (k > 0) & (k & (k - 1) == 0)  # k = m + 1 a power of two
@@ -339,9 +357,10 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
             # 0 bound stops a 0 estimate); a shared row of offsets (tau of one
             # row) stays whole
             admissible = np.flatnonzero(bound <= target * done)
+            whole = tau is row
             if admissible.size:
                 s, tau, h, k, bound = (x[:admissible[0] + 1] for x in (s, tau, h, k, bound))
-            block = _simpson_block(s, tau, h, f, work)
+            block = _simpson_block(s, tau, h, f, work, shared if whole else None)
             estimates = done + np.cumsum(block)
             stops = np.flatnonzero(bound <= target * estimates)
             if stops.size:

@@ -52,16 +52,24 @@ def reference_layout(lower, upper):
     return np.array(edges[:-1]), np.array(edges[1:]), np.array(ks[1:])
 
 
-def reference_panels(lower, upper, d, settings):
-    """Yield (k, value) per panel: one kernel call and an fsum Simpson each,
-    on the subinterval count of the panel's nominal length."""
-    sub_per_pi = d.n_spans * settings.nodes_per_oscillation
-    n_floor = 2 * settings.nodes_per_oscillation
+def reference_subintervals(lower, upper, n_spans, per_osc):
+    """Simpson subintervals per panel of reference_layout, from the panel's
+    nominal length."""
+    counts = []
     for a, b, k_end in zip(*reference_layout(lower, upper)):
         # a whole period counts as pi long, whatever b - a rounds to
         whole = k_end >= 2 and a == (k_end - 1) * math.pi
         length = math.pi if whole else b - a
-        n_sub = max(n_floor, 2 * int(math.ceil(length / math.pi * sub_per_pi / 2.0)))
+        counts.append(max(2 * per_osc, 2 * int(math.ceil(length / math.pi * n_spans * per_osc
+                                                         / 2.0))))
+    return np.array(counts)
+
+
+def reference_panels(lower, upper, d, settings):
+    """Yield (k, value) per panel: one kernel call and an fsum Simpson each,
+    on the subinterval count of the panel's nominal length."""
+    counts = reference_subintervals(lower, upper, d.n_spans, settings.nodes_per_oscillation)
+    for (a, b, k_end), n_sub in zip(zip(*reference_layout(lower, upper)), counts):
         nodes = np.linspace(a, b, n_sub + 1)
         w = np.ones(n_sub + 1)
         w[1:-1:2] = 4.0
@@ -160,36 +168,62 @@ def _first_admissible_m(d, settings, running):
     return None
 
 
+def _body_calls(monkeypatch):
+    """Record (first node, node count, layout) of every kernel call of the
+    body; the head's calls, whose nodes start at 0, are left out."""
+    calls = []
+    real_xi = quadrature.xi
+
+    def recording_xi(zeta, d, layout=None, work=None):
+        if np.min(zeta) > 0.0:
+            calls.append((float(np.min(zeta)), np.size(zeta), layout))
+        return real_xi(zeta, d, layout, work)
+
+    monkeypatch.setattr(quadrature, "xi", recording_xi)
+    return calls
+
+
+def _held_panels(calls, lowers, sizes):
+    """The first and last panel that each call holds: it starts at a panel's
+    lower end, and its node count is that of whole consecutive panels."""
+    held = []
+    for start, size, _ in calls:
+        first = int(np.searchsorted(lowers, start))
+        assert lowers[first] == start
+        nodes = np.cumsum(sizes[first:])
+        last = first + int(np.searchsorted(nodes, size))
+        assert nodes[last - first] == size
+        held.append((first, last))
+    # the calls take the panels in order, each once
+    assert [first for first, _ in held] == [0] + [last + 1 for _, last in held[:-1]]
+    return held
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
     """Every block ends at or before the latest period at which the loop can
     stop, as certified by the estimate just before the block; only the block
-    holding the stop may reach past the truncation period."""
+    holding the stop may reach past the truncation period.  A call on the
+    nodes of panels laid end to end counts as the panels it holds."""
     d = CASES[case]()
     settings = QuadratureSettings()
-    starts = []
-    real_xi = quadrature.xi
-
-    def recording_xi(zeta, d, layout=None, work=None):
-        if layout is not None:
-            # the first node of the last row: s + tau is exact there, while
-            # the top node s + pi need not round to the panel end
-            s, tau = layout
-            starts.append(float(s[-1] + tau[-1, 0]))
-        return real_xi(zeta, d, layout, work)
-
-    monkeypatch.setattr(quadrature, "xi", recording_xi)
+    calls = _body_calls(monkeypatch)
     rep = log_weighted_integral(d, settings)
     stop = (rep.truncation_m + 1) * math.pi
 
-    assert starts and rep.truncation_m is not None
-    # the last row of a block starts a panel; the block ends where it ends
+    assert calls and rep.truncation_m is not None
     lowers, ends = reference_layout(rep.delta, d.zeta_max)[:2]
-    last_panel = np.searchsorted(lowers, starts)
-    assert np.array_equal(lowers[last_panel], starts)
+    sizes = reference_subintervals(rep.delta, d.zeta_max, d.n_spans,
+                                   settings.nodes_per_oscillation) + 1
+    first_panel, last_panel = np.array(_held_panels(calls, lowers, sizes)).T
+    for (_, _, layout), last in zip(calls, last_panel):
+        if layout is not None:
+            # the first node of the last row: s + tau is exact there, while
+            # the top node s + pi need not round to the panel end
+            s, tau = layout[:2]
+            assert s[-1] + tau[-1, 0] == lowers[last]
     blocks = ends[last_panel]
     # the stop lies in the last block
-    first_panel = np.concatenate(([0], last_panel[:-1] + 1))
     assert first_panel[-1] < rep.panels_evaluated <= last_panel[-1] + 1
     ref = [v for _, v in reference_panels(rep.delta, d.zeta_max, d, settings)]
     for top, first in zip(blocks, first_panel):
@@ -201,35 +235,53 @@ def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
 
 
 def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
-    """Kernel calls are blocks of up to BLOCK_NODES nodes, not single panels,
-    each laid out as one panels x nodes grid; every whole period gets the
-    subinterval count of pi, 60 * 16 at N = 60.  The body runs to zeta_max,
-    through all its periods."""
+    """Kernel calls are blocks of up to BLOCK_NODES nodes, not single panels;
+    blocks of periods are one panels x nodes grid, every whole period with
+    the subinterval count of pi, 60 * 16 at N = 60, and all of them share the
+    one row of offsets, phi and phase factors built for the integral; the
+    graded panels below pi are one call.  The body runs to zeta_max, through
+    all its periods.  At 1,000 nodes per oscillation a graded panel holds
+    more than BLOCK_NODES nodes: it is a call of its own, and no call is
+    larger than the largest panel."""
     d = _coherent(SpanPlan((QSMF, SMF)), 60)
-    blocks = []
-    real_xi = quadrature.xi
-
-    def recording_xi(zeta, d, layout=None, work=None):
-        if layout is not None:
-            s, tau = layout
-            blocks.append((np.shape(zeta), s.copy(), tau.copy()))
-        return real_xi(zeta, d, layout, work)
-
-    monkeypatch.setattr(quadrature, "xi", recording_xi)
+    calls = _body_calls(monkeypatch)
     rep = log_weighted_integral(d, QuadratureSettings(truncation_enabled=False))
-    assert max(math.prod(shape) for shape, _, _ in blocks) <= quadrature.BLOCK_NODES
-    assert len(blocks) < rep.panels_evaluated / 10
-    assert all(len(shape) == 2 for shape, _, _ in blocks)
+    assert max(size for _, size, _ in calls) <= quadrature.BLOCK_NODES
+    assert len(calls) < rep.panels_evaluated / 10
+    grids = [(size, layout) for _, size, layout in calls if layout is not None]
     periods = 0
-    for shape, s, tau in blocks:
+    for size, (s, tau, phi, waves) in grids:
+        assert size == len(s) * tau.shape[1]  # one panels x nodes grid
         k = np.rint(s / math.pi)
         # rows k pi + tau with one shared row of offsets from 0 to pi
-        if (np.all((k >= 1) & (s == k * math.pi)) and len(tau) == 1
-                and tau[0, 0] == 0.0 and tau[0, -1] == math.pi):
-            assert shape[1] == 60 * 16 + 1
-            periods += len(s)
+        assert np.all((k >= 1) & (s == k * math.pi))
+        assert len(tau) == 1 and tau[0, 0] == 0.0 and tau[0, -1] == math.pi
+        assert tau.shape[1] == 60 * 16 + 1
+        periods += len(s)
+    for part in range(1, 4):
+        assert len({id(layout[part]) for _, layout in grids}) == 1
+    # the graded panels below pi, one call
+    lowers = reference_layout(rep.delta, d.zeta_max)[0]
+    sizes = reference_subintervals(rep.delta, d.zeta_max, 60, 16) + 1
+    first, last = _held_panels(calls, lowers, sizes)[0]
+    assert calls[0][2] is None and last > first and lowers[last + 1] == math.pi
     # the periods [pi, 2 pi] .. [(K-1) pi, K pi], K pi the last multiple below zeta_max
     assert periods == math.ceil(d.zeta_max / math.pi) - 2
+
+    calls.clear()
+    settings = QuadratureSettings(nodes_per_oscillation=1000)
+    rep = log_weighted_integral(d, settings)
+    lowers = reference_layout(rep.delta, d.zeta_max)[0]
+    sizes = reference_subintervals(rep.delta, d.zeta_max, 60, 1000) + 1
+    held = _held_panels(calls, lowers, sizes)
+    largest = max(sizes[:rep.panels_evaluated])
+    assert largest > quadrature.BLOCK_NODES
+    assert max(size for _, size, _ in calls) <= max(quadrature.BLOCK_NODES, largest)
+    for (_, size, layout), (first, last) in zip(calls, held):
+        assert size <= quadrature.BLOCK_NODES or first == last
+    # a graded panel larger than a block, below pi
+    assert any(first == last and layout is None and size > quadrature.BLOCK_NODES
+               and lowers[first] < math.pi for (_, size, layout), (first, last) in zip(calls, held))
 
 
 def test_a_repeated_integral_keeps_its_pages():
@@ -319,6 +371,33 @@ def test_threads_integrating_different_spans_match_the_serial_results():
         assert results[i] == [ref, ref]
 
 
+def _first_in_a_fresh_thread(d, settings):
+    """The report of `d` as the first integral of a new thread."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(log_weighted_integral(d, settings)))
+    thread.start()
+    thread.join(timeout=120)
+    return out[0]
+
+
+def test_an_integral_after_others_matches_it_run_first():
+    """What an integral builds for its period layout, and the arrays the
+    thread keeps, carry nothing into the next integral: each report of a
+    sequence of integrals of different layouts in one thread equals that of
+    the same integral run first in a fresh thread."""
+    cases = ("coherent N=60", "coherent N=200", "coherent N=1", "span-scaled 80 ch",
+             "lossless segment N=60", "coherent N=60")
+    settings = QuadratureSettings()
+    ds = [CASES[case]() for case in cases]
+    fresh = [_first_in_a_fresh_thread(d, settings) for d in ds]
+    out = []
+    thread = threading.Thread(
+        target=lambda: out.extend(log_weighted_integral(d, settings) for d in ds))
+    thread.start()
+    thread.join(timeout=120)
+    assert out == fresh
+
+
 def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):
     """integrate_body shares the block evaluator with the driver."""
     settings = QuadratureSettings()
@@ -329,19 +408,24 @@ def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):
 
 
 def test_block_nodes_follow_linspace():
-    """A block lays out each panel's nodes as np.linspace would, one row per
-    panel: exactly for rows of their own that start at 0 or at a multiple of
-    pi, and to the rounding of s + tau for whole periods, which share one
-    row of offsets."""
-    a = np.array([0.3, math.pi, 2.0 * math.pi])
-    b = np.array([math.pi, 2.0 * math.pi, 3.0 * math.pi])
-    n_sub = 3200
-    expected = np.array([np.linspace(a[i], b[i], n_sub + 1) for i in range(3)])
-    for whole, rows in ((False, slice(None)), (True, slice(1, None))):
+    """A block lays out each panel's nodes as np.linspace would: exactly for
+    the panels with nodes of their own, which one call takes end to end, and
+    to the rounding of s + tau for whole periods, which share one row of
+    offsets."""
+    lower, upper, n_spans, per_osc = 0.3, 3.0 * math.pi + 0.5, 200, 16
+    row = np.linspace(0.0, math.pi, n_spans * per_osc + 1)[None, :]
+    a, b, _ = reference_layout(lower, upper)
+    expected = [np.linspace(x, y, n + 1) for x, y, n in
+                zip(a, b, reference_subintervals(lower, upper, n_spans, per_osc))]
+    panels = 0
+    for s, tau, h, _ in quadrature._pi_panels(lower, upper, n_spans, per_osc, row):
         seen = []
-        quadrature._simpson_block(*quadrature._rows(a[rows], b[rows], n_sub, whole),
+        quadrature._simpson_block(s, tau, h,
                                   lambda z, layout: seen.append(z.copy()) or np.ones_like(z))
-        if whole:
-            assert np.allclose(seen[0], expected[rows], rtol=0.0, atol=np.spacing(b[-1]))
+        rows = expected[panels:panels + len(s)]
+        panels += len(s)
+        if tau is row:
+            assert np.allclose(seen[0], rows, rtol=0.0, atol=np.spacing(upper))
         else:
-            assert np.array_equal(seen[0], expected[rows])
+            assert np.array_equal(seen[0], np.concatenate(rows))
+    assert panels == len(expected) == 7

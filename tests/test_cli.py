@@ -183,6 +183,19 @@ def test_output_dash_writes_to_stdout(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_is_a_config_error(tmp_path, target):
+    """An --output that cannot be opened for writing is one config error
+    line and exit 2, not a traceback."""
+    path = tmp_path / "no" / "such" / "out.csv" if target == "missing-dir" else tmp_path
+    res = run_cli("gamma", "--config", TOY_CFG, "--output", str(path))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == b""
+    err = res.stderr.decode()
+    assert err.startswith(f"config error: cannot write output {path}: ")
+    assert err.count("\n") == 1
+
+
 SPAN_SCALED = {"kind": "span_scaled", "epsilon": 0.2}
 
 # flags, the config blocks that set the same keys, the base config's variant

@@ -54,6 +54,18 @@ def test_output_dash_writes_to_stdout(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == _run_study(tmp_path, ARGV)
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, target):
+    """A -o that cannot be opened for writing is one config error line and
+    exit 2, as for the CLI's --output."""
+    path = tmp_path / "no" / "such" / "out.csv" if target == "missing-dir" else tmp_path
+    assert study.main([*ARGV, "-o", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: cannot write output {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_study_integrates_each_design_once(tmp_path, monkeypatch):
     calls = _count_nl_calls(monkeypatch)
     _run_study(tmp_path, ARGV)

@@ -21,8 +21,7 @@ from hybridgn import (
     xi,
 )
 from hybridgn import quadrature
-from hybridgn.quadrature import (_HEAD_U, _HEAD_W, _gauss_legendre, _rows, _simpson_block,
-                                 tail_mean)
+from hybridgn.quadrature import _HEAD_U, _HEAD_W, _gauss_legendre, _simpson_block, tail_mean
 from conftest import (ATLANTIC, QSMF, SMF, TOY, fejer_log_moment, fejer_running_integral,
                       singular_head)
 
@@ -227,8 +226,8 @@ def test_fejer_antiderivatives_match_quadrature():
 
 def _simpson(f, a, b, n_sub):
     """The body's block Simpson rule on the one panel [a, b]."""
-    return float(_simpson_block(*_rows(np.array([a]), np.array([b]), n_sub, False),
-                                lambda z, layout: f(z))[0])
+    return float(_simpson_block(np.zeros(1), [np.linspace(a, b, n_sub + 1)],
+                                np.array([(b - a) / n_sub]), lambda z, layout: f(z))[0])
 
 
 def test_body_exact_for_cubics():
