@@ -59,8 +59,7 @@ _CONFIG = _Object({
                        "mpi_compensation": "number"},
                       ("spans", "symbol_rate_gbd", "channels", "noise_figure_db",
                        "wavelength_nm")),
-    "quadrature": _Object({"delta_safety": "number", "nodes_per_oscillation": "integer",
-                           "target_rel_truncation": "number",
+    "quadrature": _Object({"delta_safety": "number", "target_rel_truncation": "number",
                            "truncation_enabled": "boolean", "workers": "integer"}),
     "output": _Object({"format": ("csv", "json"), "path": "string"}),
     "variant": _Object({"kind": ("coherent", "span_scaled"), "epsilon": "number"},

@@ -6,7 +6,7 @@ span-to-span coherence and an FWM efficiency eta carrying the intra-span
 interference of all fiber segments.  Both are evaluated here, vectorized
 over zeta.  On a period layout zeta = s + tau (s a multiple of pi), phi is
 taken on tau alone and each segment phase is a factor of s times one of tau;
-the layout may bring both tau parts, built once for rows that share tau.
+the layout brings both tau parts, built once for rows that share tau.
 
 eta keeps the dimensional factor (gamma * length)^2, so it is in 1/W^2;
 phi is dimensionless and lies in [0, 1].
@@ -64,16 +64,17 @@ def _wave(lam: float, tau) -> np.ndarray:
     return np.exp(-2j * lam * tau)
 
 
-def _segment_amplitude(zeta: np.ndarray, d: DerivedSpan, s, tau, waves, work) -> np.ndarray:
+def _segment_amplitude(zeta: np.ndarray, d: DerivedSpan, s, waves, work) -> np.ndarray:
     """Coherent sum of per-segment FWM amplitudes, in 1/W, per node s + tau.
 
     Segment k has x_k = 2 (nu_k + i lam_k zeta) and contributes
     gamma_k L_k (1 - e^{-x_k}) / x_k behind the loss and phase
     e^{-sum_{m<k} x_m} of the segments in front; the front factor is the
     running product of the e^{-x_k}.  Each e^{-x_k} is the product of
-    e^{-2 nu_k - 2i lam_k s}, one per row start, and e^{-2i lam_k tau} (from
-    `waves` when given), one per offset: rows that share their offsets take
-    one complex exp per row and one per offset instead of a cos and a sin.
+    e^{-2 nu_k - 2i lam_k s}, one per row start, and e^{-2i lam_k tau}, one
+    per offset, from `waves`: rows that share their offsets take one complex
+    exp per row and one per offset instead of a cos and a sin.  Without
+    `waves`, s = 0 and tau is zeta.
     """
     amp, front, e, x, q = (_buffer(work, name, zeta.shape)
                            for name in ("amp", "front", "e", "x", "q"))
@@ -85,7 +86,7 @@ def _segment_amplitude(zeta: np.ndarray, d: DerivedSpan, s, tau, waves, work) ->
         x.real.fill(2.0 * nu)
         np.multiply(zeta, 2.0 * lam, out=x.imag)
         np.multiply(np.exp(-2.0 * nu - 2j * lam * s),
-                    _wave(lam, tau) if waves is None else waves[i], out=e)
+                    _wave(lam, zeta) if waves is None else waves[i], out=e)
         term = _quotient(x, e, 2.0 * nu < SERIES_SWITCH, out=q if i else amp)
         term *= gamma * length
         if i:
@@ -102,9 +103,8 @@ def fwm_efficiency(zeta, d: DerivedSpan, layout=None, work=None):
     `layout` and `work` are as for :func:`xi`.
     """
     z = np.atleast_1d(np.asarray(zeta, dtype=float))
-    s, tau = (0.0, z) if layout is None else (layout[0][:, None], layout[1])
-    waves = layout[3] if layout is not None and len(layout) > 3 else None
-    amp = _segment_amplitude(z, d, s, tau, waves, work)
+    s, waves = (0.0, None) if layout is None else (layout[0][:, None], layout[3])
+    amp = _segment_amplitude(z, d, s, waves, work)
     eta = np.square(amp.real, out=_buffer(work, "eta", z.shape, float))
     eta += np.square(amp.imag, out=amp.imag)
     return float(eta[0]) if np.ndim(zeta) == 0 else eta
@@ -132,15 +132,14 @@ def phased_array(zeta, n_spans: int):
 def xi(zeta, d: DerivedSpan, layout=None, work=None):
     """Full integrand factor xi = phi * eta, in 1/W^2.
 
-    A `layout` (s, tau) gives the nodes as zeta = s[:, None] + tau: row
-    starts s_i at multiples of pi, and offsets tau with one row shared by all
-    or one row each.  phi is pi-periodic, so it is taken on tau; a layout
-    (s, tau, phi, waves) brings phi(tau) and the list of each segment's
-    e^{-2i lam_k tau}, built once for calls that share tau.  No layout
-    means s = 0, tau = zeta.  With a `work` dict the buffers are kept across
-    calls, and the result is a view into them.
+    A `layout` (s, tau, phi, waves) gives the nodes as zeta = s[:, None] +
+    tau: row starts s_i at multiples of pi, and offsets tau with one row
+    shared by all or one row each.  It brings phi(tau), phi being
+    pi-periodic, and the list of each segment's e^{-2i lam_k tau}, built once
+    for calls that share tau.  No layout means s = 0, tau = zeta.  With a
+    `work` dict the buffers are kept across calls, and the result is a view
+    into them.
     """
-    given = layout is not None and len(layout) > 2
-    phi = layout[2] if given else phased_array(zeta if layout is None else layout[1], d.n_spans)
+    phi = phased_array(zeta, d.n_spans) if layout is None else layout[2]
     eta = fwm_efficiency(zeta, d, layout, work)
     return phi * eta if work is None else np.multiply(phi, eta, out=eta)

@@ -97,7 +97,8 @@ class SpanPlan:
 
 #: Most spans a link may have.  The body's subinterval count per period grows
 #: with the span count; far beyond this bound an integral runs out of memory
-#: or time.
+#: or time.  Within it a period of the body fits in one block of
+#: quadrature.BLOCK_NODES nodes.
 MAX_SPAN_COUNT = 1000
 
 

@@ -15,17 +15,18 @@ oscillates with period pi.  The evaluator splits the range into
                           is below the requested tolerance.
 
 The body's layout is decided in one place, :func:`_pi_panels`: it gives each
-panel its Simpson subinterval count from the panel's nominal length (pi for
-every whole period, so all periods get the same count) and groups the
-panels into blocks of at most BLOCK_NODES nodes, so no array grows with
-zeta_max.  Whole periods share one row of offsets tau, its Simpson weights,
-phi(tau) and each segment's phase factor on tau, all built once per
-integral: a block of them is one grid of rows s_i + tau (s_i a multiple of
-pi), one kernel call and one row sum.  The other panels (graded below pi,
-a partial first one, the last) are one kernel call per block on their nodes
-laid end to end, each summed on its own.  The kernel arrays are ones that
-each thread keeps across its integrals (grown, not renewed; those past one
-block of BLOCK_NODES nodes go when their integral returns).
+panel its Simpson subinterval count, SUBINTERVALS_PER_OSCILLATION per
+oscillation of the panel's nominal length (pi for every whole period, so
+all periods get the same count), and groups the panels into blocks of at
+most BLOCK_NODES nodes, so no array grows with zeta_max.  Whole periods
+share one row of offsets tau, its Simpson weights, phi(tau) and each
+segment's phase factor on tau, all built once per integral: a block of them
+is one grid of rows s_i + tau (s_i a multiple of pi), one kernel call and
+one row sum.  The other panels (graded below pi, a partial first one, the
+last) are one kernel call per block on their nodes laid end to end, each
+summed on its own.  Each thread keeps the kernel arrays across its
+integrals (grown, not renewed); within link.MAX_SPAN_COUNT spans none is
+larger than a block.
 Per block, :func:`tail_mean` gives each panel that closes a period k = m + 1
 that is a power of two the tail's closed form past it and a certified bound
 on the rest.  The body stops at the first whose bound is within the target
@@ -64,25 +65,22 @@ __all__ = [
 ]
 
 
-#: Most Simpson subintervals per span oscillation; far beyond this bound the
-#: head and the body blocks run out of memory.
-MAX_NODES_PER_OSCILLATION = 1000
+#: Simpson subintervals per span oscillation (n_spans oscillations per pi):
+#: each whole period gets n_spans times as many, at least twice as many.
+SUBINTERVALS_PER_OSCILLATION = 16
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tunables of the single-integral evaluator.
+    """Tunables of the single-integral evaluator.  The quadrature rule is not
+    one of them: every panel takes SUBINTERVALS_PER_OSCILLATION Simpson
+    subintervals per oscillation.
 
     Attributes
     ----------
     delta_safety : float
         Fraction of the head-validity radius 3*sqrt(3)/n_spans used as the
         head cut delta, in (0, 1].
-    nodes_per_oscillation : int
-        Simpson subintervals per span oscillation, in
-        [2, MAX_NODES_PER_OSCILLATION]; each whole period gets
-        n_spans * nodes_per_oscillation subintervals, rounded up to even and
-        at least 2 * nodes_per_oscillation.
     target_rel_truncation : float
         Relative tolerance epsilon_r on the tail less its closed form.
     truncation_enabled : bool
@@ -94,7 +92,6 @@ class QuadratureSettings:
     """
 
     delta_safety: float = 0.1
-    nodes_per_oscillation: int = 16
     target_rel_truncation: float = 1e-4
     truncation_enabled: bool = True
     workers: int = 1
@@ -102,15 +99,9 @@ class QuadratureSettings:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta_safety <= 1.0:
             raise ValueError("delta_safety must lie in (0, 1]")
-        for name in ("nodes_per_oscillation", "workers"):
-            value = getattr(self, name)
-            # bool is an Integral; numpy integers are too
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        # float() raises OverflowError past a float
-        if not 2 <= float(self.nodes_per_oscillation) <= MAX_NODES_PER_OSCILLATION:
-            raise ValueError("nodes_per_oscillation must lie in "
-                             f"[2, {MAX_NODES_PER_OSCILLATION}]")
+        # bool is an Integral; numpy integers are too
+        if isinstance(self.workers, bool) or not isinstance(self.workers, numbers.Integral):
+            raise ValueError(f"workers must be an integer, got {self.workers!r}")
         if not self.target_rel_truncation > 0.0:
             raise ValueError("target_rel_truncation must be > 0")
         if self.workers < 1:
@@ -187,6 +178,7 @@ def delta_rule(n_spans: int, zeta_max: float, settings: QuadratureSettings) -> f
 def refined_singular_head(delta: float, d: DerivedSpan,
                           settings: QuadratureSettings) -> float:
     """Head estimate with the flat part of the weight integrated numerically.
+    The rule is fixed: `settings` is accepted but not read.
 
     Splits ln(zeta_max/z) = ln(zeta_max/delta) + ln(delta/z); the first,
     constant part multiplies a plain Simpson integral of xi over [0, delta]
@@ -201,7 +193,7 @@ def refined_singular_head(delta: float, d: DerivedSpan,
     """
     if not 0.0 < delta <= min(d.zeta_max, _HEAD_REACH / d.n_spans):
         raise ValueError("delta must lie in (0, min(zeta_max, 3*sqrt(3)/n_spans)]")
-    spacing = math.pi / (d.n_spans * settings.nodes_per_oscillation)
+    spacing = math.pi / (d.n_spans * SUBINTERVALS_PER_OSCILLATION)
     n_sub = max(16, 2 * int(math.ceil(delta / spacing / 2.0)))
     values = xi(np.linspace(0.0, delta, n_sub + 1)[None, :], d)
     mass = float(np.einsum("ij,j->i", values, _simpson_weights(n_sub))[0]
@@ -214,24 +206,27 @@ def refined_singular_head(delta: float, d: DerivedSpan,
 # ---------------------------------------------------------------------------
 # body
 
-#: Kernel nodes per block at most (a panel with more nodes than that is a
-#: block of its own).
+#: Kernel nodes per block at most.  A period has at most 16,001 nodes
+#: (SUBINTERVALS_PER_OSCILLATION * link.MAX_SPAN_COUNT + 1), so a block holds
+#: whole panels; only a hand-built span of more spans makes a panel that is a
+#: block of its own.
 BLOCK_NODES = 1 << 14
 
 #: Each thread's node grid and kernel arrays, kept across its integrals so
-#: that repeated integrals reuse their pages; arrays larger than a block of
-#: BLOCK_NODES nodes are released when their integral returns.
+#: that repeated integrals reuse their pages.
 _BLOCK_ARRAYS = threading.local()
 
 
-def _subintervals(length, n_spans: int, per_osc: int) -> np.ndarray:
-    """Simpson subintervals of panels of nominal length `length`: per_osc per
-    oscillation of phi (n_spans per period), even and at least 2 * per_osc."""
+def _subintervals(length, n_spans: int) -> np.ndarray:
+    """Simpson subintervals of panels of nominal length `length`:
+    SUBINTERVALS_PER_OSCILLATION per oscillation of phi (n_spans per period),
+    even and at least twice that."""
+    per_osc = SUBINTERVALS_PER_OSCILLATION
     return np.maximum(2 * per_osc, 2 * np.ceil(length / math.pi * (n_spans * per_osc) / 2.0)
                       ).astype(np.int64)
 
 
-def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int, row: np.ndarray,
+def _pi_panels(lower: float, upper: float, n_spans: int, row: np.ndarray,
                ) -> Iterator[Tuple[np.ndarray, object, np.ndarray, np.ndarray]]:
     """Split [lower, upper] at multiples of pi; yield the panels one block at
     a time as (s, tau, h, k), in the layout of :func:`_simpson_block`: per
@@ -247,10 +242,11 @@ def _pi_panels(lower: float, upper: float, n_spans: int, per_osc: int, row: np.n
     whole period, so all periods get the same count n, else b - a.  Whole
     periods share `row`, the offsets linspace(0, pi, n + 1), from s = (k - 1)
     pi; the others come as s = 0 and the list of their nodes np.linspace(a,
-    b).  A block holds at most BLOCK_NODES nodes, or one larger panel.
+    b).  A block holds at most BLOCK_NODES nodes, or one larger panel, which
+    only a span of more than link.MAX_SPAN_COUNT spans has.
     """
     def own_nodes(a, b, k):
-        n_sub = _subintervals(b - a, n_spans, per_osc)
+        n_sub = _subintervals(b - a, n_spans)
         nodes = [np.linspace(x, y, n + 1) for x, y, n in zip(a, b, n_sub)]
         h, ends = (b - a) / n_sub, np.cumsum(n_sub + 1)
         i = 0
@@ -296,20 +292,19 @@ def _simpson_weights(n_sub: int) -> np.ndarray:
 
 def _simpson_block(s: np.ndarray, tau, h: np.ndarray, f: Callable, work=None,
                    shared: Optional[tuple] = None) -> np.ndarray:
-    """Composite-Simpson values of the panels of a layout (s, tau, h) from
-    one call f(nodes, (s, tau)) on their grid, kept in `work` when given.  For
-    a tau of one row shared by all, `shared` may bring its Simpson weights,
-    phi and phase factors: then the call is f(nodes, (s, tau, phi, waves)).
-    A list tau holds the nodes of panels of any lengths at s = 0: one call
-    f(nodes, None) on them all.  The rows are summed without BLAS, whose
-    threads gain no wall time."""
+    """Composite-Simpson values of the panels of a layout (s, tau, h), the
+    nodes kept in `work` when given.  A tau of one row, shared by all, comes
+    with `shared`, its Simpson weights, phi and phase factors: one call
+    f(nodes, (s, tau, phi, waves)) on the grid.  A list tau holds the nodes
+    of panels of any lengths at s = 0: one call f(nodes, None) on them all.
+    The rows are summed without BLAS, whose threads gain no wall time."""
     if isinstance(tau, list):
         ends = np.cumsum([len(t) for t in tau])
         values = f(np.concatenate(tau, out=_buffer(work, "nodes", (ends[-1],), float)), None)
         return np.concatenate([np.einsum("ij,j->i", v[None, :], _simpson_weights(len(v) - 1))
                                for v in np.split(values, ends[:-1])]) * h / 3.0
     nodes = np.add(s[:, None], tau, out=_buffer(work, "nodes", (len(s), tau.shape[1]), float))
-    weights, *offsets = shared or (_simpson_weights(tau.shape[1] - 1),)
+    weights, *offsets = shared
     return np.einsum("ij,j->i", f(nodes, (s, tau, *offsets)), weights) * h / 3.0
 
 
@@ -324,15 +319,14 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
     The offsets of a whole period, their Simpson weights, phi and each
     segment's phase factor on them are built once per integral; the blocks
     share this thread's node grid and kernel arrays, grown for a larger
-    block.  With `truncate`, the sum stops at the first panel closing a
-    period k, a power of two, whose :func:`tail_mean` remainder (m = k - 1)
-    is <= target * (head + panels so far).  Returns (sum of the panels,
-    panels evaluated, m or None, and tail_mean's three values at the stop, or
-    zeros).
+    block and kept for the thread's next integral.  With `truncate`, the sum
+    stops at the first panel closing a period k, a power of two, whose
+    :func:`tail_mean` remainder (m = k - 1) is <= target * (head + panels so
+    far).  Returns (sum of the panels, panels evaluated, m or None, and
+    tail_mean's three values at the stop, or zeros).
     """
     work: dict = vars(_BLOCK_ARRAYS)  # this thread's own dict
-    per_osc = settings.nodes_per_oscillation
-    period = int(_subintervals(math.pi, d.n_spans, per_osc))
+    period = int(_subintervals(math.pi, d.n_spans))
     row = np.linspace(0.0, math.pi, period + 1)[None, :]
     shared = (_simpson_weights(period), phased_array(row, d.n_spans),
               [_wave(lam, row) for lam in d.lam])
@@ -345,34 +339,29 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
     target = settings.target_rel_truncation * d.n_spans
     law = _tail_law(d) if truncate else None
     values: List[float] = []
-    try:
-        for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, per_osc, row):
-            # NaN where no stop is allowed: it compares false against any estimate
-            bound, mean, swing = np.full(len(s), np.nan), np.zeros(len(s)), np.zeros(len(s))
-            tested = (k > 0) & (k & (k - 1) == 0)  # k = m + 1 a power of two
-            if law is not None and tested.any():
-                mean[tested], swing[tested], bound[tested] = law(k[tested] - 1)
-            done = head + math.fsum(values)
-            # the estimate never falls, so the body stops here at the latest (a
-            # 0 bound stops a 0 estimate); a shared row of offsets (tau of one
-            # row) stays whole
-            admissible = np.flatnonzero(bound <= target * done)
-            whole = tau is row
-            if admissible.size:
-                s, tau, h, k, bound = (x[:admissible[0] + 1] for x in (s, tau, h, k, bound))
-            block = _simpson_block(s, tau, h, f, work, shared if whole else None)
-            estimates = done + np.cumsum(block)
-            stops = np.flatnonzero(bound <= target * estimates)
-            if stops.size:
-                stop = int(stops[0])
-                values.extend(block[:stop + 1].tolist())
-                return (math.fsum(values), len(values), int(k[stop]) - 1,
-                        float(mean[stop]), float(swing[stop]), float(bound[stop]))
-            values.extend(block.tolist())
-        return math.fsum(values), len(values), None, 0.0, 0.0, 0.0
-    finally:
-        for name in [n for n, a in work.items() if a.size > BLOCK_NODES]:
-            del work[name]
+    for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, row):
+        # NaN where no stop is allowed: it compares false against any estimate
+        bound, mean, swing = np.full(len(s), np.nan), np.zeros(len(s)), np.zeros(len(s))
+        tested = (k > 0) & (k & (k - 1) == 0)  # k = m + 1 a power of two
+        if law is not None and tested.any():
+            mean[tested], swing[tested], bound[tested] = law(k[tested] - 1)
+        done = head + math.fsum(values)
+        # the estimate never falls, so the body stops here at the latest (a 0
+        # bound stops a 0 estimate); a shared row of offsets (tau of one row)
+        # stays whole
+        admissible = np.flatnonzero(bound <= target * done)
+        if admissible.size:
+            s, tau, h, k, bound = (x[:admissible[0] + 1] for x in (s, tau, h, k, bound))
+        block = _simpson_block(s, tau, h, f, work, shared)
+        estimates = done + np.cumsum(block)
+        stops = np.flatnonzero(bound <= target * estimates)
+        if stops.size:
+            stop = int(stops[0])
+            values.extend(block[:stop + 1].tolist())
+            return (math.fsum(values), len(values), int(k[stop]) - 1,
+                    float(mean[stop]), float(swing[stop]), float(bound[stop]))
+        values.extend(block.tolist())
+    return math.fsum(values), len(values), None, 0.0, 0.0, 0.0
 
 
 def integrate_body(lower: float, upper: float, d: DerivedSpan,

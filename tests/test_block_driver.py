@@ -29,8 +29,12 @@ from hybridgn import (
     xi,
 )
 from hybridgn import quadrature
+from hybridgn.link import MAX_SPAN_COUNT
 from hybridgn.quadrature import tail_mean
 from conftest import ATLANTIC, LOSSLESS, QSMF, SMF, THREE_FIBER
+
+#: Simpson subintervals per oscillation of phi in the driver's rule.
+PER_OSCILLATION = 16
 
 
 def reference_layout(lower, upper):
@@ -65,10 +69,11 @@ def reference_subintervals(lower, upper, n_spans, per_osc):
     return np.array(counts)
 
 
-def reference_panels(lower, upper, d, settings):
+def reference_panels(lower, upper, d, per_osc):
     """Yield (k, value) per panel: one kernel call and an fsum Simpson each,
-    on the subinterval count of the panel's nominal length."""
-    counts = reference_subintervals(lower, upper, d.n_spans, settings.nodes_per_oscillation)
+    on the subinterval count of the panel's nominal length at per_osc
+    subintervals per oscillation."""
+    counts = reference_subintervals(lower, upper, d.n_spans, per_osc)
     for (a, b, k_end), n_sub in zip(zip(*reference_layout(lower, upper)), counts):
         nodes = np.linspace(a, b, n_sub + 1)
         w = np.ones(n_sub + 1)
@@ -92,7 +97,7 @@ def reference_integral(d, settings):
     values = []
     truncation_m = None
     mean = oscillation = remainder = 0.0
-    for k_end, value in reference_panels(delta, d.zeta_max, d, settings):
+    for k_end, value in reference_panels(delta, d.zeta_max, d, PER_OSCILLATION):
         values.append(value)
         if settings.truncation_enabled and _tested(k_end):
             running = head + math.fsum(values)
@@ -213,8 +218,7 @@ def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
 
     assert calls and rep.truncation_m is not None
     lowers, ends = reference_layout(rep.delta, d.zeta_max)[:2]
-    sizes = reference_subintervals(rep.delta, d.zeta_max, d.n_spans,
-                                   settings.nodes_per_oscillation) + 1
+    sizes = reference_subintervals(rep.delta, d.zeta_max, d.n_spans, PER_OSCILLATION) + 1
     first_panel, last_panel = np.array(_held_panels(calls, lowers, sizes)).T
     for (_, _, layout), last in zip(calls, last_panel):
         if layout is not None:
@@ -225,7 +229,7 @@ def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
     blocks = ends[last_panel]
     # the stop lies in the last block
     assert first_panel[-1] < rep.panels_evaluated <= last_panel[-1] + 1
-    ref = [v for _, v in reference_panels(rep.delta, d.zeta_max, d, settings)]
+    ref = [v for _, v in reference_panels(rep.delta, d.zeta_max, d, PER_OSCILLATION)]
     for top, first in zip(blocks, first_panel):
         cap = _first_admissible_m(d, settings, rep.head + math.fsum(ref[:first]))
         if cap is not None:
@@ -240,9 +244,7 @@ def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
     the subinterval count of pi, 60 * 16 at N = 60, and all of them share the
     one row of offsets, phi and phase factors built for the integral; the
     graded panels below pi are one call.  The body runs to zeta_max, through
-    all its periods.  At 1,000 nodes per oscillation a graded panel holds
-    more than BLOCK_NODES nodes: it is a call of its own, and no call is
-    larger than the largest panel."""
+    all its periods."""
     d = _coherent(SpanPlan((QSMF, SMF)), 60)
     calls = _body_calls(monkeypatch)
     rep = log_weighted_integral(d, QuadratureSettings(truncation_enabled=False))
@@ -262,26 +264,11 @@ def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
         assert len({id(layout[part]) for _, layout in grids}) == 1
     # the graded panels below pi, one call
     lowers = reference_layout(rep.delta, d.zeta_max)[0]
-    sizes = reference_subintervals(rep.delta, d.zeta_max, 60, 16) + 1
+    sizes = reference_subintervals(rep.delta, d.zeta_max, 60, PER_OSCILLATION) + 1
     first, last = _held_panels(calls, lowers, sizes)[0]
     assert calls[0][2] is None and last > first and lowers[last + 1] == math.pi
     # the periods [pi, 2 pi] .. [(K-1) pi, K pi], K pi the last multiple below zeta_max
     assert periods == math.ceil(d.zeta_max / math.pi) - 2
-
-    calls.clear()
-    settings = QuadratureSettings(nodes_per_oscillation=1000)
-    rep = log_weighted_integral(d, settings)
-    lowers = reference_layout(rep.delta, d.zeta_max)[0]
-    sizes = reference_subintervals(rep.delta, d.zeta_max, 60, 1000) + 1
-    held = _held_panels(calls, lowers, sizes)
-    largest = max(sizes[:rep.panels_evaluated])
-    assert largest > quadrature.BLOCK_NODES
-    assert max(size for _, size, _ in calls) <= max(quadrature.BLOCK_NODES, largest)
-    for (_, size, layout), (first, last) in zip(calls, held):
-        assert size <= quadrature.BLOCK_NODES or first == last
-    # a graded panel larger than a block, below pi
-    assert any(first == last and layout is None and size > quadrature.BLOCK_NODES
-               and lowers[first] < math.pi for (_, size, layout), (first, last) in zip(calls, held))
 
 
 def test_a_repeated_integral_keeps_its_pages():
@@ -331,15 +318,29 @@ def test_block_arrays_outlive_the_integral():
     assert int(res.stdout.split()[-1]) < 300
 
 
-def test_block_arrays_larger_than_a_block_are_released(d_atlantic):
-    """Periods of 60,001 nodes are blocks of their own; their arrays go when
-    the integral returns, so the next integral keeps arrays of one
-    BLOCK_NODES block at most."""
-    integrate_body(0.01, 3.0 * math.pi, d_atlantic,
-                   QuadratureSettings(nodes_per_oscillation=1000))
-    integrate_body(0.01, 3.0 * math.pi, d_atlantic, QuadratureSettings())
-    kept = vars(quadrature._BLOCK_ARRAYS)
-    assert kept and all(a.size <= quadrature.BLOCK_NODES for a in kept.values())
+def test_a_period_at_the_span_limit_fits_one_block(monkeypatch):
+    """At MAX_SPAN_COUNT spans a whole period, 16,001 nodes, is one grid row
+    within a block, every kernel call holds at most BLOCK_NODES nodes, and the
+    thread keeps no array larger than a block after the integral."""
+    d = _coherent(SpanPlan((QSMF, SMF)), MAX_SPAN_COUNT)
+    calls = _body_calls(monkeypatch)
+    kept = {}
+
+    def run():
+        rep = log_weighted_integral(d, QuadratureSettings())
+        kept.update(rep=rep, sizes=[a.size for a in vars(quadrature._BLOCK_ARRAYS).values()])
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=300)
+    assert kept["rep"].truncation_m is not None
+    grids = [(size, layout) for _, size, layout in calls if layout is not None]
+    assert grids
+    for size, (s, tau, _, _) in grids:
+        assert tau.shape == (1, PER_OSCILLATION * MAX_SPAN_COUNT + 1)
+        assert size == len(s) * tau.shape[1] <= quadrature.BLOCK_NODES
+    assert max(size for _, size, _ in calls) <= quadrature.BLOCK_NODES
+    assert kept["sizes"] and max(kept["sizes"]) <= quadrature.BLOCK_NODES
 
 
 def test_threads_integrating_different_spans_match_the_serial_results():
@@ -403,7 +404,7 @@ def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):
     settings = QuadratureSettings()
     lower, upper = 0.01, 40.0 * math.pi + 0.5
     ours = integrate_body(lower, upper, d_atlantic, settings)
-    ref = math.fsum(v for _, v in reference_panels(lower, upper, d_atlantic, settings))
+    ref = math.fsum(v for _, v in reference_panels(lower, upper, d_atlantic, PER_OSCILLATION))
     assert ours == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
@@ -412,16 +413,18 @@ def test_block_nodes_follow_linspace():
     the panels with nodes of their own, which one call takes end to end, and
     to the rounding of s + tau for whole periods, which share one row of
     offsets."""
-    lower, upper, n_spans, per_osc = 0.3, 3.0 * math.pi + 0.5, 200, 16
-    row = np.linspace(0.0, math.pi, n_spans * per_osc + 1)[None, :]
+    lower, upper, n_spans = 0.3, 3.0 * math.pi + 0.5, 200
+    period = n_spans * PER_OSCILLATION
+    row = np.linspace(0.0, math.pi, period + 1)[None, :]
     a, b, _ = reference_layout(lower, upper)
     expected = [np.linspace(x, y, n + 1) for x, y, n in
-                zip(a, b, reference_subintervals(lower, upper, n_spans, per_osc))]
+                zip(a, b, reference_subintervals(lower, upper, n_spans, PER_OSCILLATION))]
     panels = 0
-    for s, tau, h, _ in quadrature._pi_panels(lower, upper, n_spans, per_osc, row):
+    for s, tau, h, _ in quadrature._pi_panels(lower, upper, n_spans, row):
         seen = []
         quadrature._simpson_block(s, tau, h,
-                                  lambda z, layout: seen.append(z.copy()) or np.ones_like(z))
+                                  lambda z, layout: seen.append(z.copy()) or np.ones_like(z),
+                                  shared=(quadrature._simpson_weights(period),))
         rows = expected[panels:panels + len(s)]
         panels += len(s)
         if tau is row:

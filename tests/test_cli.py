@@ -484,8 +484,7 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, value):
 
 
 @pytest.mark.parametrize("command", ["gamma", "sweep-split", "check"])
-@pytest.mark.parametrize("block, key", [("system", "spans"),
-                                        ("quadrature", "nodes_per_oscillation")])
+@pytest.mark.parametrize("block, key", [("system", "spans"), ("quadrature", "workers")])
 def test_non_integral_count_in_config_is_a_config_error(tmp_path, command, block, key):
     """A JSON 2.0 is a number, not an integer: it must not reach range() or a
     numpy cast as a float."""

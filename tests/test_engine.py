@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import mpmath
 import numpy as np
@@ -23,7 +23,7 @@ from hybridgn import (
     q_factor,
 )
 from hybridgn import engine
-from conftest import ATLANTIC, QSMF, SMF
+from conftest import ATLANTIC, QSMF, SMF, span_plans
 
 
 def optimal_power_search(coeffs: PerformanceCoeffs) -> float:
@@ -341,3 +341,20 @@ def test_math_erfc_matches_scipy_on_the_16qam_range():
         for x in np.linspace(0.0, 20.0, 81):
             x = float(x)
             assert math.erfc(x) == pytest.approx(float(mpmath.erfc(x)), rel=1e-15)
+
+
+def _bits(value, report):
+    """gamma_nl and every report field, floats as their exact hex form."""
+    return [x.hex() if isinstance(x, float) else x for x in (value, *astuple(report))]
+
+
+@given(span_plans(), st.sampled_from([1, 2, 60]), st.integers(3, 9))
+@hsettings(deadline=None, max_examples=20)
+def test_dispersion_sign_leaves_gamma_and_report_unchanged(span, n_spans, channels):
+    """The model depends on beta2 only through |beta2|: flipping every
+    segment's dispersion sign gives the same gamma_nl and report bit for bit."""
+    flipped = SpanPlan(tuple(replace(s, beta2=-s.beta2) for s in span.segments))
+    system = replace(ATLANTIC, span_count=n_spans, channel_count=channels)
+    value, _, report = nl_coefficient_with_report(span, system)
+    other, _, other_report = nl_coefficient_with_report(flipped, system)
+    assert _bits(value, report) == _bits(other, other_report)

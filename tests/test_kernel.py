@@ -284,6 +284,12 @@ def test_xi_2d_grid(d_atlantic):
 LOSSLESS = replace(SMF, name="lossless", attenuation=0.0)
 
 
+def _layout(s, tau, d):
+    """The layout (s, tau, phi, waves) of the nodes s[:, None] + tau: phi on
+    tau, and each segment's phase factor e^{-2i lam tau}."""
+    return s, tau, phased_array(tau, d.n_spans), [np.exp(-2j * lam * tau) for lam in d.lam]
+
+
 def _simpson_rows(values):
     w = np.full(values.shape[-1], 2.0)
     w[1::2] = 4.0
@@ -295,9 +301,9 @@ def _simpson_rows(values):
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
 @pytest.mark.parametrize("second", [SMF, LOSSLESS], ids=["smf", "lossless"])
 def test_xi_on_a_layout_matches_the_explicit_grid(n_spans, shared, second):
-    """xi on the layout (s, tau) equals xi on the grid s_i + tau_j panel by
-    panel: phi is taken on tau and each phase is a row times an offset
-    factor, which moves only the rounding."""
+    """xi on the layout (s, tau, phi, waves) equals xi on the grid s_i +
+    tau_j panel by panel: phi is taken on tau and each phase is a row times
+    an offset factor, which moves only the rounding."""
     d = derive_span(SpanPlan((QSMF, second)), replace(ATLANTIC, span_count=n_spans))
     n_sub = max(32, 16 * n_spans)
     s = np.array([0, 1, 2, 7, 30, 49, 50]) * math.pi
@@ -307,7 +313,7 @@ def test_xi_on_a_layout_matches_the_explicit_grid(n_spans, shared, second):
         lo = np.linspace(0.0, 2.5, len(s))
         tau = np.linspace(lo, lo + np.linspace(0.3, math.pi, len(s)), n_sub + 1, axis=1)
     zeta = s[:, None] + tau
-    ours = _simpson_rows(xi(zeta, d, layout=(s, tau)))
+    ours = _simpson_rows(xi(zeta, d, layout=_layout(s, tau, d)))
     ref = _simpson_rows(xi(zeta, d))
     assert np.all(np.abs(ours - ref) <= 1e-11 * np.abs(ref))
 
@@ -320,5 +326,6 @@ def test_xi_work_buffers_give_the_same_values(d_atlantic):
         s = np.arange(1, rows + 1) * math.pi
         tau = np.linspace(0.0, math.pi, cols)[None, :]
         zeta = s[:, None] + tau
-        fresh = xi(zeta, d_atlantic, layout=(s, tau))
-        assert np.array_equal(xi(zeta, d_atlantic, layout=(s, tau), work=work), fresh)
+        layout = _layout(s, tau, d_atlantic)
+        fresh = xi(zeta, d_atlantic, layout=layout)
+        assert np.array_equal(xi(zeta, d_atlantic, layout=layout, work=work), fresh)
