@@ -384,8 +384,19 @@ def integrate_body(lower: float, upper: float, d: DerivedSpan,
 # tail bounds
 
 
-def truncation_bound(m, d: DerivedSpan):
-    """Certified bounds on the discarded tail past mu = (m+1)*pi.
+def _check_m(m, d: DerivedSpan) -> None:
+    """Raise ValueError unless every m (an int or an int array) has m >= 1
+    and (m+1)*pi < zeta_max."""
+    m = np.asarray(m)
+    if np.any(m < 1):
+        raise ValueError("m must be >= 1")
+    if not np.all((m + 1.0) * math.pi < d.zeta_max):
+        raise ValueError("truncation point (m+1)*pi must lie below zeta_max")
+
+
+def truncation_bound(m: int, d: DerivedSpan) -> Tuple[float, float]:
+    """Certified bounds on the whole discarded tail past mu = (m+1)*pi, as
+    `hybridgn bound` prints them and acceptance criterion 4 checks them.
 
     Returns (tight, loose) with tight <= loose, both bounding
     n_spans * int_mu^zeta_max ln(zeta_max/z) xi(z) dz from above:
@@ -396,33 +407,26 @@ def truncation_bound(m, d: DerivedSpan):
     where Gamma and sigma are the worst-case span strength and the slowest
     decay rate from :func:`hybridgn.link.derive_span`.  A lossless segment
     gives sigma = 0, where the tight bound takes its limit, the loose one.
-
-    An int `m` gives two floats; an int array gives two arrays, each element
-    equal to the scalar call's.  Every m must satisfy the range checks.
+    The int `m` must satisfy m >= 1 and (m+1)*pi < zeta_max.  The driver
+    does not stop on these but on :func:`tail_mean`'s remainder.
     """
-    m_arr = np.asarray(m)
-    if np.any(m_arr < 1):
-        raise ValueError("m must be >= 1")
-    if not np.all((m_arr + 1.0) * math.pi < d.zeta_max):
-        raise ValueError("truncation point (m+1)*pi must lie below zeta_max")
+    _check_m(m, d)
     g2 = d.gamma_bound * d.gamma_bound
-    m_pi = m_arr * math.pi
+    m_pi = m * math.pi
+    # numpy's log and arctan: math's can differ in the last place, which `bound` prints
     log_factor = np.log(d.zeta_max / m_pi)
-    loose = g2 / m_pi * log_factor
+    loose = float(g2 / m_pi * log_factor)
     if d.sigma == 0.0:  # atan(sigma/(m pi))/sigma -> 1/(m pi)
-        tight = loose
-    else:
-        tight = g2 / d.sigma * np.arctan(d.sigma / m_pi) * log_factor
-    if m_arr.ndim == 0:
-        return float(tight), float(loose)
-    return tight, loose
+        return loose, loose
+    return float(g2 / d.sigma * np.arctan(d.sigma / m_pi) * log_factor), loose
 
 
 def tail_mean(m, d: DerivedSpan):
     """Closed-form tail past mu = (m+1)*pi and a certified bound on the rest:
     (mean, oscillation, remainder) with |tail - mean - oscillation| <=
     remainder, the tail scaled as in :func:`truncation_bound`.  An int `m`
-    gives three floats, an int array three arrays.
+    gives three floats, an int array three arrays; every m must satisfy
+    m >= 1 and (m+1)*pi < zeta_max.
 
     With Lam_j = lam_1+..+lam_j, P_j = exp(-2(nu_1+..+nu_j)) and g_k = gamma_k
     l_k / lam_k (g_0 = g_{K+1} = 0), the amplitude A of eta = |A|^2 splits as
@@ -436,9 +440,9 @@ def tail_mean(m, d: DerivedSpan):
     the second mean-value theorem; that is kept where |w| >= |g'(mu)|/g(mu),
     and below it the term itself is bounded by |c| min(2 g(mu)/|w|, int_mu g).
     R adds at most pi h(mu) + int_mu h, h = ln(zeta_max/z) (2 s r/z^3 +
-    r^2/z^4), s = sum_j |b_j|; max(tight - T, T), T the closed form, caps the
-    remainder.
+    r^2/z^4), s = sum_j |b_j|.
     """
+    _check_m(m, d)
     parts = _tail_law(d)(np.atleast_1d(m))
     return tuple(float(p[0]) for p in parts) if np.ndim(m) == 0 else parts
 
@@ -475,7 +479,6 @@ def _tail_law(d: DerivedSpan,
     pair_coef, pair_lam = 2.0 * beta[j] * beta[l], lam[j] - lam[l]
 
     def law(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        tight = truncation_bound(m, d)[0]
         mu = (m + 1.0) * math.pi
         log = np.log(d.zeta_max / mu)
 
@@ -498,10 +501,7 @@ def _tail_law(d: DerivedSpan,
         kept = np.sum(np.where(pair_size >= corrected[:, :, None], pair_terms, 0.0), axis=-1)
         oscillation = g * np.sum(pair_coef * np.sin(2.0 * np.outer(mu, pair_lam)) * kept,
                                  axis=-1)
-        mean = c_inf * big_g
-        closed = mean + oscillation
-        return mean, oscillation, np.minimum(oscillating + slow,
-                                             np.maximum(tight - closed, closed))
+        return c_inf * big_g, oscillation, oscillating + slow
 
     return law
 
@@ -552,9 +552,7 @@ def brute_force_gamma_integral(d: DerivedSpan, grid_n: int) -> float:
         raise ValueError("grid_n must be even and >= 2")
     half = d.b0 / 2.0
     f = np.linspace(0.0, half, grid_n + 1)
-    w = np.ones(grid_n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
+    w = _simpson_weights(grid_n)
     zeta_grid = np.outer(f, f) / (2.0 * d.f_phase * d.f_phase)
     vals = xi(zeta_grid, d)
     h = half / grid_n

@@ -345,24 +345,6 @@ def test_lossless_segment_takes_the_tight_bound_limit():
     assert 0.0 < rep.tail_bound < 1e-4 * rep.value
 
 
-def test_tail_bound_array_matches_scalar_calls(d_atlantic, d_toy):
-    ms = np.arange(1, 340)
-    tight, loose = truncation_bound(ms, d_atlantic)
-    assert tight.shape == loose.shape == ms.shape
-    for m, t, l in zip(ms.tolist(), tight.tolist(), loose.tolist()):
-        assert (t, l) == truncation_bound(m, d_atlantic)
-    lossless = derive_span(SpanPlan((replace(QSMF, attenuation=0.0), SMF)), ATLANTIC)
-    tight, loose = truncation_bound(ms, lossless)
-    assert [(t, l) for t, l in zip(tight.tolist(), loose.tolist())] == \
-        [truncation_bound(m, lossless) for m in ms.tolist()]
-    with pytest.raises(ValueError):
-        truncation_bound(np.array([0, 5]), d_atlantic)
-    with pytest.raises(ValueError):
-        truncation_bound(np.array([5, 400]), d_atlantic)  # (m+1) pi beyond zeta_max
-    with pytest.raises(ValueError):
-        truncation_bound(np.array([1, 2]), d_toy)  # toy range is shorter than 2 pi
-
-
 def test_driver_truncation_pins(d_atlantic, d_toy, settings):
     assert log_weighted_integral(d_atlantic, settings).truncation_m == 31
     assert log_weighted_integral(d_toy, settings).truncation_m is None

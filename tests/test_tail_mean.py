@@ -33,7 +33,7 @@ def _split(fraction):
 
 
 SPANS = {
-    **{f"split {p} %": _split(p / 100.0) for p in (1, 5, 30, 50, 90, 99)},
+    **{f"split {p} %": _split(p / 100.0) for p in (0.1, 1, 5, 30, 50, 90, 99)},
     "lossless first segment": SpanPlan((LOSSLESS, SMF)),
     "three segments": THREE_FIBER,
 }
@@ -63,9 +63,33 @@ def test_remainder_bounds_the_tail_less_its_mean(span, n_spans, channels):
     tail integrated without truncation; the driver's value is within
     tail_bound + 1e-7 I of the untruncated integral."""
     d = _derived(span, n_spans, channels)
-    rep = log_weighted_integral(d, QuadratureSettings())
     m_max = _largest_m(d)
-    ms = set(np.geomspace(1, m_max, 6).astype(int).tolist()) | {m_max - 1, m_max}
+    _assert_sound(d, set(np.geomspace(1, m_max, 6).astype(int).tolist()) | {m_max - 1, m_max})
+
+
+#: The QSMF + SMF span with both lengths x10: its slowest decay rate sigma is
+#: about 18, so the first truncation points lie below it.
+LONG = SpanPlan((replace(QSMF, length=10 * QSMF.length), replace(SMF, length=10 * SMF.length)))
+
+
+@pytest.mark.parametrize("n_spans, channels", [(1, 9), (2, 9), (7, 9), (1, 3)])
+def test_remainder_bounds_the_tail_where_mu_is_below_sigma(n_spans, channels):
+    """As above on a span of 500 + 500 km, at m in {1, 2, 3, 7, 15} (mu below
+    and near sigma), 12 log-spaced m, the driver's stop and the last period."""
+    d = derive_span(LONG, replace(ATLANTIC, span_count=n_spans, channel_count=channels))
+    assert 4.0 * math.pi < d.sigma  # mu at m = 1, 2, 3 lies below sigma
+    m_max = _largest_m(d)
+    _assert_sound(d, {1, 2, 3, 7, 15, m_max}
+                  | set(np.geomspace(1, m_max, 12).astype(int).tolist()))
+
+
+def _assert_sound(d, ms):
+    """|n_spans * tail - mean - oscillation| <= remainder at every m of `ms`
+    and at the driver's stop, the tail integrated without truncation; the
+    driver's value is within tail_bound + 1e-7 I of the untruncated
+    integral."""
+    n_spans = d.n_spans
+    rep = log_weighted_integral(d, QuadratureSettings())
     if rep.truncation_m is None:  # no power of two period before zeta_max was admissible
         assert rep.tail_bound == rep.tail_mean == rep.tail_oscillation == 0.0
     else:
@@ -157,9 +181,8 @@ def test_remainder_is_the_sum_of_the_term_bounds(span, n_spans):
     each term c = b_j conj(b_l) (1 - |n|/N) of phi |S|^2 at a frequency
     w = 2(n - (Lam_j - Lam_l)) != 0 adds |c| min(G, 2 g(mu)/|w|) below
     |w| = |g'(mu)|/g(mu) and 2 |c g'(mu)|/w^2 from it on, with g =
-    ln(zeta_max/z)/z^2 and G its integral past mu; the R part adds
-    pi h(mu) + int_mu h; and max(tight - T, T) caps the sum, T the closed
-    form tail_mean returns."""
+    ln(zeta_max/z)/z^2 and G its integral past mu; and the R part adds
+    pi h(mu) + int_mu h."""
     d = _derived(span, n_spans, 9)
     lam, b, r = _expansion(d)
     s = sum(abs(x) for x in b)
@@ -181,11 +204,8 @@ def test_remainder_is_the_sum_of_the_term_bounds(span, n_spans):
         slow = math.pi * log * (2.0 * s * r / mu ** 3 + r * r / mu ** 4) \
             + 2.0 * s * r * _log_moment(3, mu, d.zeta_max) \
             + r * r * _log_moment(4, mu, d.zeta_max)
-        mean, oscillation, remainder = tail_mean(m, d)
-        closed = mean + oscillation
-        tight = truncation_bound(m, d)[0]
-        expected = min(math.fsum(terms) + slow, max(tight - closed, closed))
-        assert remainder == pytest.approx(expected, rel=1e-12)
+        remainder = tail_mean(m, d)[2]
+        assert remainder == pytest.approx(math.fsum(terms) + slow, rel=1e-12)
 
 
 @pytest.mark.parametrize("span", sorted(SPANS))
@@ -212,7 +232,9 @@ FIVE_FIBER = SpanPlan((replace(QSMF, name="f0", length=15e3),) + FOUR_FIBER.segm
     *((span, n) for span in ("four segments", "five segments") for n in (1, 2, 60, 200)),
 ])
 def test_tail_mean_array_matches_scalar_calls(span, n_spans):
-    """Every m of one array call gives exactly its scalar call's three values."""
+    """Every m of one array call gives exactly its scalar call's three values,
+    its remainder below the bound on the whole tail on these spans; an m out
+    of range raises, alone or in an array."""
     plan = {"two segments": SpanPlan((QSMF, SMF)), "four segments": FOUR_FIBER,
             "five segments": FIVE_FIBER}[span]
     d = derive_span(plan, replace(ATLANTIC, span_count=n_spans))
@@ -223,13 +245,10 @@ def test_tail_mean_array_matches_scalar_calls(span, n_spans):
     for m, a, o, r in zip(ms.tolist(), mean.tolist(), oscillation.tolist(),
                           remainder.tolist()):
         assert (a, o, r) == tail_mean(m, d)
-    # the whole tail lies in [0, tight], so |tail - mean - oscillation| <= tight
-    # too while the closed form does
-    assert np.all(remainder <= truncation_bound(ms, d)[0])
-    with pytest.raises(ValueError):
-        tail_mean(0, d)
-    with pytest.raises(ValueError):
-        tail_mean(m_max + 1, d)
+        assert r <= truncation_bound(m, d)[0]
+    for bad in (0, m_max + 1, np.array([0, 5]), np.array([5, m_max + 1])):
+        with pytest.raises(ValueError):
+            tail_mean(bad, d)
 
 
 def test_tail_mean_is_zero_without_nonlinearity(hybrid_span):
