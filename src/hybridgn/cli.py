@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .config import AppConfig, ConfigError, parse_config, read_config
 from .engine import Coherent, SpanScaled, nl_coefficient_with_report
 from .link import derive_span
-from .quadrature import brute_force_gamma_integral, truncation_bound
+from .quadrature import _largest_m, brute_force_gamma_integral, truncation_bound
 from .sweep import optimal_split, power_grid_dbm, split_step_count, sweep_power, sweep_split
 from .units import dbm_to_watt, linear_to_db, watt_to_dbm
 
@@ -194,9 +194,7 @@ def cmd_check(cfg: AppConfig, grid_n: int, tolerance: float) -> Tuple[str, int]:
 
 def cmd_bound(cfg: AppConfig, m_list: List[int]) -> Tuple[str, int]:
     d = derive_span(cfg.span, cfg.system)
-    m_max = math.floor(d.zeta_max / math.pi) - 1  # the largest m: (m+1)*pi < zeta_max
-    while m_max >= 1 and not (m_max + 1.0) * math.pi < d.zeta_max:
-        m_max -= 1
+    m_max = _largest_m(d)
     if m_max < 1:
         raise ConfigError("the link admits no truncation point: "
                           f"zeta_max = {d.zeta_max:.6g} is not above 2*pi")

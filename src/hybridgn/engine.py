@@ -125,9 +125,15 @@ def ase_coefficient(span: SpanPlan, sys: SystemConfig) -> float:
 
     Each amplifier exactly undoes its span loss G = exp(sum_k a_k l_k) and
     adds F * h * f_carrier * (G - 1) * osnr_bw of noise; span_count
-    amplifiers contribute independently.
+    amplifiers contribute independently.  A span loss past about 3,080 dB,
+    where G overflows, raises ArithmeticError.
     """
-    gain = math.exp(math.fsum(s.attenuation * s.length for s in span.segments))
+    loss = math.fsum(s.attenuation * s.length for s in span.segments)
+    try:
+        gain = math.exp(loss)
+    except OverflowError:
+        raise ArithmeticError(f"span loss of {10.0 * loss / math.log(10.0):.6g} dB: "
+                              "the amplifier gain overflows") from None
     f_carrier = _C0 / sys.wavelength
     noise_factor = db_to_linear(sys.noise_figure_db)
     return sys.span_count * noise_factor * _PLANCK * f_carrier * (gain - 1.0) * sys.osnr_bw

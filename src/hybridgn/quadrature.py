@@ -17,16 +17,18 @@ oscillates with period pi.  The evaluator splits the range into
 The body's layout is decided in one place, :func:`_pi_panels`: it gives each
 panel its Simpson subinterval count, SUBINTERVALS_PER_OSCILLATION per
 oscillation of the panel's nominal length (pi for every whole period, so
-all periods get the same count), and groups the panels into blocks of at
-most BLOCK_NODES nodes, so no array grows with zeta_max.  Whole periods
-share one row of offsets tau, its Simpson weights, phi(tau) and each
-segment's phase factor on tau, all built once per integral: a block of them
-is one grid of rows s_i + tau (s_i a multiple of pi), one kernel call and
-one row sum.  The other panels (graded below pi, a partial first one, the
-last) are one kernel call per block on their nodes laid end to end, each
-summed on its own.  Each thread keeps the kernel arrays across its
-integrals (grown, not renewed); within link.MAX_SPAN_COUNT spans none is
-larger than a block.
+all periods get the same count), and groups the whole periods into blocks
+of at most BLOCK_NODES nodes, so no array grows with zeta_max.  Whole
+periods share one row of offsets tau, its Simpson weights, phi(tau) and
+each segment's phase factor on tau, all built once per integral: a block of
+them is one grid of rows s_i + tau (s_i a multiple of pi), one kernel call
+and one row sum.  The other panels (graded below pi, a partial first one,
+the last) are one kernel call for the stretch below the first multiple of
+pi and one for the last panel, on their nodes laid end to end, each summed
+on its own.  Each thread keeps the kernel arrays across its integrals
+(grown, not renewed).  Within link.MAX_SPAN_COUNT spans none is larger than
+a block for delta_safety >= 1e-3; each halving of the head cut below that
+adds a graded panel of at least 33 nodes, up to about 49k nodes at 1e-300.
 Per block, :func:`tail_mean` gives each panel that closes a period k = m + 1
 that is a power of two the tail's closed form past it and a certified bound
 on the rest.  The body stops at the first whose bound is within the target
@@ -206,10 +208,10 @@ def refined_singular_head(delta: float, d: DerivedSpan,
 # ---------------------------------------------------------------------------
 # body
 
-#: Kernel nodes per block at most.  A period has at most 16,001 nodes
-#: (SUBINTERVALS_PER_OSCILLATION * link.MAX_SPAN_COUNT + 1), so a block holds
-#: whole panels; only a hand-built span of more spans makes a panel that is a
-#: block of its own.
+#: Kernel nodes per block of whole periods at most.  A period has at most
+#: 16,001 nodes (SUBINTERVALS_PER_OSCILLATION * link.MAX_SPAN_COUNT + 1), so a
+#: block holds whole periods; only a hand-built span of more spans makes a
+#: period that is a block of its own.
 BLOCK_NODES = 1 << 14
 
 #: Each thread's node grid and kernel arrays, kept across its integrals so
@@ -241,20 +243,15 @@ def _pi_panels(lower: float, upper: float, n_spans: int, row: np.ndarray,
     A panel of nominal length L gets :func:`_subintervals` of L: pi for a
     whole period, so all periods get the same count n, else b - a.  Whole
     periods share `row`, the offsets linspace(0, pi, n + 1), from s = (k - 1)
-    pi; the others come as s = 0 and the list of their nodes np.linspace(a,
-    b).  A block holds at most BLOCK_NODES nodes, or one larger panel, which
-    only a span of more than link.MAX_SPAN_COUNT spans has.
+    pi, in blocks of at most BLOCK_NODES nodes (or of one larger period, past
+    link.MAX_SPAN_COUNT spans).  The others come as s = 0 and the list of
+    their nodes np.linspace(a, b), in two blocks of any size: the stretch up
+    to the first multiple of pi, and the last panel.
     """
     def own_nodes(a, b, k):
         n_sub = _subintervals(b - a, n_spans)
-        nodes = [np.linspace(x, y, n + 1) for x, y, n in zip(a, b, n_sub)]
-        h, ends = (b - a) / n_sub, np.cumsum(n_sub + 1)
-        i = 0
-        while i < len(a):
-            j = max(i + 1, int(np.searchsorted(ends, ends[i] - len(nodes[i]) + BLOCK_NODES,
-                                               "right")))
-            yield np.zeros(j - i), nodes[i:j], h[i:j], k[i:j]
-            i = j
+        return (np.zeros(len(a)), [np.linspace(x, y, n + 1) for x, y, n in zip(a, b, n_sub)],
+                (b - a) / n_sub, k)
 
     period = row.shape[1] - 1
     per_block = max(1, BLOCK_NODES // (period + 1))
@@ -269,7 +266,7 @@ def _pi_panels(lower: float, upper: float, n_spans: int, row: np.ndarray,
     # the stretch up to the first multiple of pi, where only a partial first
     # panel (lower >= pi) can close a period
     a, b = np.array(edges), np.append(edges[1:], min(k * math.pi, upper))
-    yield from own_nodes(a, b, np.where(b < upper, k if k >= 2 else 0, 0))
+    yield own_nodes(a, b, np.where(b < upper, k if k >= 2 else 0, 0))
     while k * math.pi < upper:
         ks = np.arange(k + 1, k + 1 + per_block)
         ks = ks[ks * math.pi < upper]
@@ -278,7 +275,7 @@ def _pi_panels(lower: float, upper: float, n_spans: int, row: np.ndarray,
             yield a, row, (ks * math.pi - a) / period, ks
         k += len(ks)
         if len(ks) < per_block:  # the last panel, [k pi, upper]
-            yield from own_nodes(np.array([k * math.pi]), np.array([upper]), np.zeros(1, int))
+            yield own_nodes(np.array([k * math.pi]), np.array([upper]), np.zeros(1, int))
             return
 
 
@@ -308,9 +305,8 @@ def _simpson_block(s: np.ndarray, tau, h: np.ndarray, f: Callable, work=None,
     return np.einsum("ij,j->i", f(nodes, (s, tau, *offsets)), weights) * h / 3.0
 
 
-def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
-                      settings: QuadratureSettings, head: float = 0.0,
-                      truncate: bool = False,
+def _integrate_panels(lower: float, upper: float, d: DerivedSpan, head: float = 0.0,
+                      target: Optional[float] = None,
                       ) -> Tuple[float, int, Optional[int], float, float, float]:
     """Composite-Simpson sum of ln(zeta_max/z) xi(z) over the pi-aligned
     panels of [lower, upper], bounded and evaluated one block of
@@ -319,7 +315,7 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
     The offsets of a whole period, their Simpson weights, phi and each
     segment's phase factor on them are built once per integral; the blocks
     share this thread's node grid and kernel arrays, grown for a larger
-    block and kept for the thread's next integral.  With `truncate`, the sum
+    block and kept for the thread's next integral.  With a `target`, the sum
     stops at the first panel closing a period k, a power of two, whose
     :func:`tail_mean` remainder (m = k - 1) is <= target * (head + panels so
     far).  Returns (sum of the panels, panels evaluated, m or None, and
@@ -336,15 +332,16 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan,
         np.log(np.divide(d.zeta_max, z, out=weight), out=weight)
         return np.multiply(weight, xi(z, d, layout, work), out=weight)
 
-    target = settings.target_rel_truncation * d.n_spans
-    law = _tail_law(d) if truncate else None
+    law = None if target is None else _tail_law(d)
     values: List[float] = []
     for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, row):
+        tested = (k > 0) & (k & (k - 1) == 0)  # k = m + 1 a power of two
+        if law is None or not tested.any():  # no stop in this block
+            values.extend(_simpson_block(s, tau, h, f, work, shared).tolist())
+            continue
         # NaN where no stop is allowed: it compares false against any estimate
         bound, mean, swing = np.full(len(s), np.nan), np.zeros(len(s)), np.zeros(len(s))
-        tested = (k > 0) & (k & (k - 1) == 0)  # k = m + 1 a power of two
-        if law is not None and tested.any():
-            mean[tested], swing[tested], bound[tested] = law(k[tested] - 1)
+        mean[tested], swing[tested], bound[tested] = law(k[tested] - 1)
         done = head + math.fsum(values)
         # the estimate never falls, so the body stops here at the latest (a 0
         # bound stops a 0 estimate); a shared row of offsets (tau of one row)
@@ -369,7 +366,8 @@ def integrate_body(lower: float, upper: float, d: DerivedSpan,
     """Composite-Simpson integral of the log-weighted kernel
     ln(zeta_max/z) xi(z) over [lower, upper], 0 < lower < upper <= zeta_max,
     on pi-aligned panels: the body that :func:`log_weighted_integral` sums,
-    without truncation.
+    without truncation.  The rule is fixed: `settings` is accepted but not
+    read.
     """
     if not upper > lower:
         raise ValueError("upper must exceed lower")
@@ -377,11 +375,19 @@ def integrate_body(lower: float, upper: float, d: DerivedSpan,
         raise ValueError("upper must not exceed zeta_max")
     if not lower > 0.0:
         raise ValueError("the log-weighted integrand needs lower > 0")
-    return _integrate_panels(lower, upper, d, settings)[0]
+    return _integrate_panels(lower, upper, d)[0]
 
 
 # ---------------------------------------------------------------------------
 # tail bounds
+
+
+def _largest_m(d: DerivedSpan) -> int:
+    """The largest m with (m+1)*pi < zeta_max, below 1 when no m >= 1 has it."""
+    m = math.floor(d.zeta_max / math.pi) - 1
+    while m >= 1 and not (m + 1.0) * math.pi < d.zeta_max:
+        m -= 1
+    return m
 
 
 def _check_m(m, d: DerivedSpan) -> None:
@@ -390,7 +396,7 @@ def _check_m(m, d: DerivedSpan) -> None:
     m = np.asarray(m)
     if np.any(m < 1):
         raise ValueError("m must be >= 1")
-    if not np.all((m + 1.0) * math.pi < d.zeta_max):
+    if np.any(m > _largest_m(d)):
         raise ValueError("truncation point (m+1)*pi must lie below zeta_max")
 
 
@@ -521,8 +527,9 @@ def log_weighted_integral(d: DerivedSpan, settings: QuadratureSettings) -> Integ
     """
     delta = delta_rule(d.n_spans, d.zeta_max, settings)
     head = refined_singular_head(delta, d, settings)
+    target = settings.target_rel_truncation * d.n_spans if settings.truncation_enabled else None
     panels_sum, panels, truncation_m, mean, swing, remainder = _integrate_panels(
-        delta, d.zeta_max, d, settings, head, settings.truncation_enabled)
+        delta, d.zeta_max, d, head, target)
     body = panels_sum + (mean + swing) / d.n_spans
     return IntegralReport(
         value=head + body,

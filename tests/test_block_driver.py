@@ -343,6 +343,26 @@ def test_a_period_at_the_span_limit_fits_one_block(monkeypatch):
     assert kept["sizes"] and max(kept["sizes"]) <= quadrature.BLOCK_NODES
 
 
+def test_a_stretch_larger_than_a_block_is_one_call(monkeypatch):
+    """At MAX_SPAN_COUNT spans and delta_safety 1e-6 the graded stretch below
+    pi is 30 panels of 16,650 nodes in all, more than a block: it is one
+    kernel call, and the integral stops where the panel-by-panel reference
+    does.  A fresh thread keeps the larger arrays out of this one."""
+    d = _coherent(SpanPlan((QSMF, SMF)), MAX_SPAN_COUNT)
+    settings = QuadratureSettings(delta_safety=1e-6)
+    calls = _body_calls(monkeypatch)
+    ours = _first_in_a_fresh_thread(d, settings)
+    ref = reference_integral(d, settings)
+    assert (ours.panels_evaluated, ours.truncation_m) == (ref.panels_evaluated, 31) == (61, 31)
+    assert ours.tail_bound == ref.tail_bound
+    assert ours.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+    lowers = reference_layout(ours.delta, d.zeta_max)[0]
+    sizes = reference_subintervals(ours.delta, d.zeta_max, d.n_spans, PER_OSCILLATION) + 1
+    first, last = _held_panels(calls, lowers, sizes)[0]
+    assert calls[0][2] is None and (first, last) == (0, 29) and lowers[last + 1] == math.pi
+    assert calls[0][1] == 16650 > quadrature.BLOCK_NODES
+
+
 def test_threads_integrating_different_spans_match_the_serial_results():
     """Each thread has its own block arrays: concurrent integrals of spans of
     different block shapes give the serial results bit for bit."""

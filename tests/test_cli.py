@@ -173,6 +173,24 @@ def test_gamma_below_the_float_range_is_a_numerical_error(tmp_path):
     assert res.stderr.decode().startswith("numerical error: gamma_nl underflows")
 
 
+def test_overflowing_amplifier_gain_names_the_span_loss(tmp_path):
+    """Both fibers at 1e3 dB/km make a 1e5 dB span, whose amplifier gain is
+    past the float range: the sweeps, which need the ASE, stop with a message
+    that names the loss, while gamma, which does not, still succeeds."""
+    raw = json.loads(Path(ATLANTIC_CFG).read_text())
+    for segment in raw["span"]:
+        segment["attenuation_db_per_km"] = 1e3
+    p = tmp_path / "lossy.json"
+    p.write_text(json.dumps(raw))
+    for args in (["sweep-power"], ["sweep-split"]):
+        res = run_cli(*args, "--config", str(p))
+        assert res.returncode == 3, (args, res.stderr)
+        assert res.stdout == b"", args
+        assert res.stderr.decode() == ("numerical error: span loss of 100000 dB: "
+                                       "the amplifier gain overflows\n"), args
+    assert run_cli("gamma", "--config", str(p)).returncode == 0
+
+
 def test_output_dash_writes_to_stdout(tmp_path):
     to_stdout = run_cli("gamma", "--config", TOY_CFG)
     res = subprocess.run([sys.executable, "-m", "hybridgn", "gamma", "--config", TOY_CFG,
