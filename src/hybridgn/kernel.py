@@ -67,30 +67,28 @@ def _wave(lam: float, tau) -> np.ndarray:
 def _segment_amplitude(zeta: np.ndarray, d: DerivedSpan, s, waves, work) -> np.ndarray:
     """Coherent sum of per-segment FWM amplitudes, in 1/W, per node s + tau.
 
-    Segment k has x_k = 2 (nu_k + i lam_k zeta) and contributes
+    Segment k has x_k = 2 (nu_k + i lam_k zeta) and contributes t_k =
     gamma_k L_k (1 - e^{-x_k}) / x_k behind the loss and phase
-    e^{-sum_{m<k} x_m} of the segments in front; the front factor is the
-    running product of the e^{-x_k}.  Each e^{-x_k} is the product of
-    e^{-2 nu_k - 2i lam_k s}, one per row start, and e^{-2i lam_k tau}, one
-    per offset, from `waves`: rows that share their offsets take one complex
-    exp per row and one per offset instead of a cos and a sin.  Without
-    `waves`, s = 0 and tau is zeta.
+    e^{-sum_{m<k} x_m} of the segments in front, so the sum is t_1 +
+    e^{-x_1} (t_2 + e^{-x_2} (... + t_K)), accumulated from the last segment
+    forward.  Each e^{-x_k} is the product of e^{-2 nu_k - 2i lam_k s}, one
+    per row start, and e^{-2i lam_k tau}, one per offset, from `waves`: rows
+    that share their offsets take one complex exp per row and one per offset
+    instead of a cos and a sin.  Without `waves`, s = 0 and tau is zeta.
     """
-    amp, front, e, x, q = (_buffer(work, name, zeta.shape)
-                           for name in ("amp", "front", "e", "x", "q"))
-    for i, (nu, lam, gamma, length) in enumerate(zip(d.nu, d.lam, d.gammas, d.lengths)):
-        if i > 1:  # the front of segment i + 1; the last e^{-x_K} is never taken
-            front *= e
-        elif i:  # the first segment's e^{-x_1}, whose term started the sum
-            front, e = e, front
+    amp, e, x, q = (_buffer(work, name, zeta.shape) for name in ("amp", "e", "x", "q"))
+    last = len(d.lam) - 1
+    for i in range(last, -1, -1):
+        nu, lam = d.nu[i], d.lam[i]
         x.real.fill(2.0 * nu)
         np.multiply(zeta, 2.0 * lam, out=x.imag)
         np.multiply(np.exp(-2.0 * nu - 2j * lam * s),
                     _wave(lam, zeta) if waves is None else waves[i], out=e)
-        term = _quotient(x, e, 2.0 * nu < SERIES_SWITCH, out=q if i else amp)
-        term *= gamma * length
-        if i:
-            amp += np.multiply(q, front, out=q)
+        term = _quotient(x, e, 2.0 * nu < SERIES_SWITCH, out=q if i < last else amp)
+        term *= d.gammas[i] * d.lengths[i]
+        if i < last:
+            amp *= e
+            amp += q
     return amp
 
 

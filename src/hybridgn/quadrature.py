@@ -439,10 +439,11 @@ def tail_mean(m, d: DerivedSpan):
     z A = S + R, S = sum_{j=0..K} b_j e^{-2i Lam_j z}, b_j = P_j (g_{j+1} - g_j)
     / (2i), |R| <= r/z, r = sum_k gamma_k l_k (P_{k-1} + P_k) nu_k / (2 lam_k^2).
     N phi |S|^2 has the real terms c = b_j conj(b_l) (1 - |n|/N) at w = 2(n -
-    (Lam_j - Lam_l)), |n| < N, against g = ln(zeta_max/z)/z^2.  Those at w = 0
-    (j = l, n = 0; (K, 0) and (0, K), n = +-1) give the mean.  Integrating each
-    other term by parts leaves c g(mu) sin(2 (Lam_j - Lam_l) mu) / w, the
-    oscillation, and c int_mu |g'| sin(w z) / w, at most 2 |c g'(mu)| / w^2 by
+    (Lam_j - Lam_l)), |n| < N, against g = ln(zeta_max/z)/z^2, with Lam_K = 1.
+    Every term at w = 0 gives the mean.  Integrating each other term by parts
+    leaves c g(mu) sin(2 (Lam_j - Lam_l) mu) / w, which vanishes where Lam_j -
+    Lam_l is a whole number; summed over the others, it is the oscillation.
+    It also leaves c int_mu |g'| sin(w z) / w, at most 2 |c g'(mu)| / w^2 by
     the second mean-value theorem; that is kept where |w| >= |g'(mu)|/g(mu),
     and below it the term itself is bounded by |c| min(2 g(mu)/|w|, int_mu g).
     R adds at most pi h(mu) + int_mu h, h = ln(zeta_max/z) (2 s r/z^3 +
@@ -457,32 +458,27 @@ def _tail_law(d: DerivedSpan,
               ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """:func:`tail_mean` of an int array m, the span's constants bound in."""
     n = d.n_spans
-    lam = np.concatenate(([0.0], np.cumsum(d.lam)))
+    # Lam_K is 1, which the cumulative sum of the shares can miss by an ulp
+    lam = np.concatenate(([0.0], np.cumsum(d.lam)[:-1], [1.0]))
     front = np.exp(-2.0 * np.concatenate(([0.0], np.cumsum(d.nu))))
     strength = d.gammas * d.lengths
     # b_j = -i beta_j, so every b_j conj(b_l) = beta_j beta_l is real
     beta = front * np.diff(np.concatenate(([0.0], strength / d.lam, [0.0]))) / 2.0
-    size = np.abs(beta)
-    c_inf = np.sum(size ** 2) + 2.0 * (1.0 - 1.0 / n) * beta[0] * beta[-1]
     r = np.sum(strength * (front[:-1] + front[1:]) * d.nu / (2.0 * d.lam ** 2))
-    sr2, r2 = 2.0 * np.sum(size) * r, r * r
-    # the beat terms |c| at |w|, those of the mean zeroed by index, and 1/|w|
-    # (0 at w = 0, where every |c| is 0)
-    fejer = 1.0 - np.abs(np.arange(1 - n, n)) / n
-    signed = 2.0 * (np.arange(1 - n, n) - (lam[:, None, None] - lam[None, :, None]))
-    coef = size[:, None, None] * size[None, :, None] * fejer
-    coef[np.arange(len(beta)), np.arange(len(beta)), n - 1] = 0.0
-    if n > 1:
-        coef[-1, 0, n] = coef[0, -1, n - 2] = 0.0
-    omega, coef = np.abs(signed).ravel(), coef.ravel()
+    sr2, r2 = 2.0 * np.sum(np.abs(beta)) * r, r * r
+    # the beat terms c at w, a row (j, l) of Lam_j - Lam_l by a column n; the
+    # mean is those at w = 0, where 1/|w| is 0
+    shift = (lam[:, None] - lam[None, :]).ravel()
+    orders = np.arange(1 - n, n)
+    signed = 2.0 * (orders - shift[:, None])
+    coef = np.outer(beta, beta).reshape(-1, 1) * (1.0 - np.abs(orders) / n)
+    c_inf = np.sum(coef[signed == 0.0])
+    omega, size = np.abs(signed).ravel(), np.abs(coef).ravel()
     inverse = np.divide(1.0, omega, out=np.zeros_like(omega), where=omega > 0.0)
-    # the oscillation comes from the pairs j > l but (K, 0), whose sine
-    # vanishes on multiples of pi (Lam_K = 1), as (j, l) and (l, j) alike
-    j, l = np.tril_indices(len(beta), -1)
-    j, l = j[j - l < len(beta) - 1], l[j - l < len(beta) - 1]
-    pair_w = signed[j, l]
-    pair_terms, pair_size = fejer / pair_w, np.abs(pair_w)
-    pair_coef, pair_lam = 2.0 * beta[j] * beta[l], lam[j] - lam[l]
+    # c/w, 0 on the rows of a whole shift, whose sine vanishes on multiples of
+    # pi; (j, l, n) and (l, j, -n) give the same term
+    ratio = np.divide(coef, signed, out=np.zeros_like(coef),
+                      where=(shift != np.round(shift))[:, None])
 
     def law(m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         mu = (m + 1.0) * math.pi
@@ -495,18 +491,16 @@ def _tail_law(d: DerivedSpan,
         g = log / mu ** 2
         slope = (1.0 + 2.0 * log) / mu ** 3  # |g'(mu)|
         # every sum runs along the last axis, so each m gets its scalar call's
-        # result; a term below |w| = |g'(mu)|/g(mu) is at most |c| min(G(mu),
-        # 2 g(mu)/|w|), one from it on leaves at most 2 |c g'(mu)|/w^2
-        corrected = (slope / g)[:, None]
-        oscillating = np.sum(coef * np.where(
-            omega < corrected, np.minimum(big_g[:, None], 2.0 * g[:, None] * inverse),
-            2.0 * slope[:, None] * inverse ** 2), axis=-1)
+        # result; a term from |w| = |g'(mu)|/g(mu) on (far) leaves at most
+        # 2 |c g'(mu)|/w^2, one below it is at most |c| min(G(mu), 2 g(mu)/|w|)
+        far = omega >= (slope / g)[:, None]
+        oscillating = np.sum(size * np.where(
+            far, 2.0 * slope[:, None] * inverse ** 2,
+            np.minimum(big_g[:, None], 2.0 * g[:, None] * inverse)), axis=-1)
         slow = math.pi * log * (sr2 / mu ** 3 + r2 / mu ** 4) + sr2 * moment(3) \
             + r2 * moment(4)
-        # per pair, the sum of (1 - |n|/N)/w over its terms with |w| >= the cut
-        kept = np.sum(np.where(pair_size >= corrected[:, :, None], pair_terms, 0.0), axis=-1)
-        oscillation = g * np.sum(pair_coef * np.sin(2.0 * np.outer(mu, pair_lam)) * kept,
-                                 axis=-1)
+        beats = np.sum(np.where(far.reshape(len(m), *ratio.shape), ratio, 0.0), axis=-1)
+        oscillation = g * np.sum(np.sin(2.0 * np.outer(mu, shift)) * beats, axis=-1)
         return c_inf * big_g, oscillation, oscillating + slow
 
     return law

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple, replace
 
 import mpmath
@@ -12,6 +13,7 @@ from scipy.special import erfc, erfcinv
 from hybridgn import (
     Coherent,
     PerformanceCoeffs,
+    QuadratureSettings,
     SpanPlan,
     SpanScaled,
     ase_coefficient,
@@ -23,7 +25,7 @@ from hybridgn import (
     q_factor,
 )
 from hybridgn import engine
-from conftest import ATLANTIC, QSMF, SMF, span_plans
+from conftest import ATLANTIC, QSMF, SMF, THREE_FIBER, span_plans
 
 
 def optimal_power_search(coeffs: PerformanceCoeffs) -> float:
@@ -358,3 +360,42 @@ def test_dispersion_sign_leaves_gamma_and_report_unchanged(span, n_spans, channe
     value, _, report = nl_coefficient_with_report(span, system)
     other, _, other_report = nl_coefficient_with_report(flipped, system)
     assert _bits(value, report) == _bits(other, other_report)
+
+
+def _one_pm(span, index):
+    """`span` with segment `index` cut to 1 pm."""
+    segments = list(span.segments)
+    segments[index] = replace(segments[index], length=1e-12)
+    return SpanPlan(tuple(segments))
+
+
+#: The QSMF + SMF span at the edges of the accepted range, and 1 pm segments
+#: first, in the middle and last.
+EDGE_SPANS = {
+    "lengths x10": SpanPlan(tuple(replace(s, length=10 * s.length) for s in (QSMF, SMF))),
+    "lengths x0.01": SpanPlan(tuple(replace(s, length=0.01 * s.length) for s in (QSMF, SMF))),
+    "attenuation 1e-18": SpanPlan(tuple(replace(s, attenuation=1e-18) for s in (QSMF, SMF))),
+    "0.1 % split": SpanPlan((replace(QSMF, length=100.0), replace(SMF, length=99.9e3))),
+    "gamma 0 segment": SpanPlan((replace(QSMF, gamma=0.0), SMF)),
+    "beta2 ratio 1e3": SpanPlan((QSMF, replace(SMF, beta2=1e3 * SMF.beta2))),
+    "beta2 ratio 1e-3": SpanPlan((QSMF, replace(SMF, beta2=1e-3 * SMF.beta2))),
+    "1 pm first segment": _one_pm(SpanPlan((QSMF, SMF)), 0),
+    "1 pm middle segment": _one_pm(THREE_FIBER, 1),
+    "1 pm last segment": _one_pm(SpanPlan((QSMF, SMF)), 1),
+}
+
+
+@pytest.mark.parametrize("n_spans, channels, truncated", [
+    (n_spans, channels, truncated)
+    for n_spans in (1, 2, 60) for channels in (3, 9, 80)
+    for truncated in (True, False) if truncated or n_spans * channels <= 200])
+@pytest.mark.parametrize("span", sorted(EDGE_SPANS))
+def test_edge_shapes_raise_no_runtime_warning(span, n_spans, channels, truncated):
+    """gamma_nl of every edge shape is finite and nonnegative, and nothing on
+    the way warns."""
+    system = replace(ATLANTIC, span_count=n_spans, channel_count=channels)
+    settings = QuadratureSettings(truncation_enabled=truncated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, _, _ = nl_coefficient_with_report(EDGE_SPANS[span], system, settings=settings)
+    assert math.isfinite(value) and value >= 0.0

@@ -36,6 +36,7 @@ SPANS = {
     **{f"split {p} %": _split(p / 100.0) for p in (0.1, 1, 5, 30, 50, 90, 99)},
     "lossless first segment": SpanPlan((LOSSLESS, SMF)),
     "three segments": THREE_FIBER,
+    "1 pm last segment": SpanPlan((QSMF, replace(SMF, length=1e-12))),
 }
 
 UNTRUNCATED = QuadratureSettings(truncation_enabled=False)
@@ -81,6 +82,19 @@ def test_remainder_bounds_the_tail_where_mu_is_below_sigma(n_spans, channels):
     m_max = _largest_m(d)
     _assert_sound(d, {1, 2, 3, 7, 15, m_max}
                   | set(np.geomspace(1, m_max, 12).astype(int).tolist()))
+
+
+@pytest.mark.parametrize("channels", [9, 80])
+@pytest.mark.parametrize("n_spans", [1, 2, 60])
+def test_remainder_bounds_the_tail_after_a_1_pm_first_segment(n_spans, channels):
+    """As above on 1 pm of QSMF in front of the SMF.  Its beat (1, 0, 0) has
+    |w| = 4e-17, which the driver bounds as a term below the cut and the
+    term-by-term oracles (|w| < 1e-9) would count in the mean, so this span
+    is not in SPANS."""
+    d = derive_span(SpanPlan((replace(QSMF, length=1e-12), SMF)),
+                    replace(ATLANTIC, span_count=n_spans, channel_count=channels))
+    m_max = _largest_m(d)
+    _assert_sound(d, set(np.geomspace(1, m_max, 6).astype(int).tolist()) | {m_max - 1, m_max})
 
 
 def _assert_sound(d, ms):
