@@ -69,6 +69,8 @@ class FiberSegment:
             raise ValueError(f"segment {self.name!r}: attenuation must be >= 0")
         if self.beta2 == 0.0:
             raise ValueError(f"segment {self.name!r}: zero dispersion is unsupported")
+        if self.beta2 * self.length == 0.0:  # lam_k = 0: the tail law divides by it
+            raise ValueError(f"segment {self.name!r}: dispersion x length underflows to 0")
         if self.gamma < 0.0:
             raise ValueError(f"segment {self.name!r}: gamma must be >= 0")
 
@@ -95,9 +97,9 @@ class SpanPlan:
         return float(sum(s.length for s in self.segments))
 
 
-#: Most spans a link may have.  The body's subinterval count per period grows
-#: with the span count; far beyond this bound an integral runs out of memory
-#: or time.  Within it a period of the body fits in one block of
+#: Most spans a link may have.  The body's node count per period grows with
+#: the span count; far beyond this bound an integral runs out of memory or
+#: time.  Within it a period of the body fits in one block of
 #: quadrature.BLOCK_NODES nodes.
 MAX_SPAN_COUNT = 1000
 

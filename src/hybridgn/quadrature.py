@@ -9,26 +9,29 @@ oscillates with period pi.  The evaluator splits the range into
 
 * head  [0, delta]        Simpson under ln(zeta_max/delta), a Gauss rule in
                           ln(delta/zeta) under the rest of the log weight,
-* body  [delta, mu]       composite Simpson on panels aligned to the pi grid,
+* body  [delta, mu]       panels aligned to the pi grid: a fixed Gauss-Legendre
+                          template on every whole period, composite Simpson
+                          on the others,
 * tail  [mu, zeta_max]    its mean and the leading term of its oscillation
                           in closed form, once a certified bound on the rest
                           is below the requested tolerance.
 
-The body's layout is decided in one place, :func:`_pi_panels`: it gives each
-panel its Simpson subinterval count, SUBINTERVALS_PER_OSCILLATION per
-oscillation of the panel's nominal length (pi for every whole period, so
-all periods get the same count), and groups the whole periods into blocks
-of at most BLOCK_NODES nodes, so no array grows with zeta_max.  Whole
-periods share one row of offsets tau, its Simpson weights, phi(tau) and
-each segment's phase factor on tau, all built once per integral: a block of
-them is one grid of rows s_i + tau (s_i a multiple of pi), one kernel call
-and one row sum.  The other panels (graded below pi, a partial first one,
-the last) are one kernel call for the stretch below the first multiple of
-pi and one for the last panel, on their nodes laid end to end, each summed
-on its own.  Each thread keeps the kernel arrays across its integrals
-(grown, not renewed).  Within link.MAX_SPAN_COUNT spans none is larger than
-a block for delta_safety >= 1e-3; each halving of the head cut below that
-adds a graded panel of at least 33 nodes, up to about 49k nodes at 1e-300.
+The body's layout is decided in one place, :func:`_pi_panels`: it gives
+every whole period [k pi, (k+1) pi] the template, 24 Gauss-Legendre nodes on
+each of ceil(n_spans/8) equal sub-panels, and groups them into blocks of at
+most BLOCK_NODES nodes, so no array grows with zeta_max.  Whole periods
+share one row of offsets tau, its weights, phi(tau) and each segment's
+phase factor on tau, all built once per integral: a block of them is one
+grid of rows s_i + tau (s_i a multiple of pi), one kernel call and one row
+sum.  The other panels (graded below pi, a partial first one, a partial
+last one) take SUBINTERVALS_PER_OSCILLATION Simpson subintervals per
+oscillation of their length: one kernel call for the stretch below the
+first multiple of pi and one for the last panel, on their nodes laid end to
+end, each summed on its own.  Each thread keeps the kernel arrays across
+its integrals (grown, not renewed).  Within link.MAX_SPAN_COUNT spans none
+is larger than a block for delta_safety >= 1e-3; each halving of the head
+cut below that adds a graded panel of at least 33 nodes, up to about 49k
+nodes at 1e-300.
 Per block, :func:`tail_mean` gives each panel that closes a period k = m + 1
 that is a power of two the tail's closed form past it and a certified bound
 on the rest.  The body stops at the first whose bound is within the target
@@ -67,16 +70,17 @@ __all__ = [
 ]
 
 
-#: Simpson subintervals per span oscillation (n_spans oscillations per pi):
-#: each whole period gets n_spans times as many, at least twice as many.
+#: Simpson subintervals per span oscillation (n_spans oscillations per pi) of
+#: the panels that are not whole periods, at least 32 per panel, and of the
+#: head's mass; whole periods take the Gauss template of :func:`_pi_panels`.
 SUBINTERVALS_PER_OSCILLATION = 16
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Tunables of the single-integral evaluator.  The quadrature rule is not
-    one of them: every panel takes SUBINTERVALS_PER_OSCILLATION Simpson
-    subintervals per oscillation.
+    one of them: whole periods take a fixed Gauss template, the other panels
+    SUBINTERVALS_PER_OSCILLATION Simpson subintervals per oscillation.
 
     Attributes
     ----------
@@ -209,52 +213,53 @@ def refined_singular_head(delta: float, d: DerivedSpan,
 # body
 
 #: Kernel nodes per block of whole periods at most.  A period has at most
-#: 16,001 nodes (SUBINTERVALS_PER_OSCILLATION * link.MAX_SPAN_COUNT + 1), so a
-#: block holds whole periods; only a hand-built span of more spans makes a
-#: period that is a block of its own.
+#: 3,000 nodes (24 * ceil(link.MAX_SPAN_COUNT / 8)), so a block holds five
+#: periods or more; only a hand-built span of over 5,000 spans makes a period
+#: that is a block of its own.
 BLOCK_NODES = 1 << 14
+
+#: The whole periods' rule on [0, 1]: 24 Gauss-Legendre nodes u and weights,
+#: repeated on each sub-panel.  Over the first 64 periods it matches a 48-node
+#: rule to 3e-13 of the integral; 20 nodes are off by up to 9e-9.
+_PERIOD_U, _PERIOD_W = _gauss_legendre(24)
+_PERIOD_U, _PERIOD_W = (_PERIOD_U + 1.0) / 2.0, _PERIOD_W / 2.0
 
 #: Each thread's node grid and kernel arrays, kept across its integrals so
 #: that repeated integrals reuse their pages.
 _BLOCK_ARRAYS = threading.local()
 
 
-def _subintervals(length, n_spans: int) -> np.ndarray:
-    """Simpson subintervals of panels of nominal length `length`:
-    SUBINTERVALS_PER_OSCILLATION per oscillation of phi (n_spans per period),
-    even and at least twice that."""
-    per_osc = SUBINTERVALS_PER_OSCILLATION
-    return np.maximum(2 * per_osc, 2 * np.ceil(length / math.pi * (n_spans * per_osc) / 2.0)
-                      ).astype(np.int64)
-
-
 def _pi_panels(lower: float, upper: float, n_spans: int, row: np.ndarray,
                ) -> Iterator[Tuple[np.ndarray, object, np.ndarray, np.ndarray]]:
     """Split [lower, upper] at multiples of pi; yield the panels one block at
-    a time as (s, tau, h, k), in the layout of :func:`_simpson_block`: per
-    panel the start s of its nodes s + tau, its Simpson step h and the period
-    k >= 2 that it closes (b = k*pi < upper), or 0.
+    a time as (s, tau, h, k), in the layout of :func:`_panel_block`: per
+    panel the start s of its nodes s + tau, its length (whole periods) or
+    Simpson step h, and the period k >= 2 that it closes (b = k*pi < upper),
+    or 0.
 
     Below the first pi edge the log weight still varies on the scale of zeta
     itself, so that stretch is subdivided geometrically (each sub-panel about
     as long as its distance from the origin); uniform pi panels would
     otherwise lose four orders of accuracy right above the head cut.
 
-    A panel of nominal length L gets :func:`_subintervals` of L: pi for a
-    whole period, so all periods get the same count n, else b - a.  Whole
-    periods share `row`, the offsets linspace(0, pi, n + 1), from s = (k - 1)
-    pi, in blocks of at most BLOCK_NODES nodes (or of one larger period, past
-    link.MAX_SPAN_COUNT spans).  The others come as s = 0 and the list of
-    their nodes np.linspace(a, b), in two blocks of any size: the stretch up
-    to the first multiple of pi, and the last panel.
+    Every whole period [(k - 1) pi, k pi] within [lower, upper], also one
+    that starts at lower or ends at upper, takes `row`, the offsets of the
+    Gauss template, from s = (k - 1) pi, in blocks of at most BLOCK_NODES
+    nodes (or of one larger period).  The others get
+    SUBINTERVALS_PER_OSCILLATION Simpson subintervals per oscillation of phi
+    (n_spans per period) of their length b - a, even and at least twice
+    that, and come as s = 0 and the list of their nodes np.linspace(a, b),
+    in two blocks of any size: the stretch up to the first multiple of pi,
+    and the last panel.
     """
     def own_nodes(a, b, k):
-        n_sub = _subintervals(b - a, n_spans)
+        per_osc = SUBINTERVALS_PER_OSCILLATION
+        n_sub = np.maximum(2 * per_osc, 2 * np.ceil((b - a) / math.pi * (n_spans * per_osc) / 2.0)
+                           ).astype(np.int64)
         return (np.zeros(len(a)), [np.linspace(x, y, n + 1) for x, y, n in zip(a, b, n_sub)],
                 (b - a) / n_sub, k)
 
-    period = row.shape[1] - 1
-    per_block = max(1, BLOCK_NODES // (period + 1))
+    per_block = max(1, BLOCK_NODES // row.shape[1])
     edges = [lower]
     # grading needs a positive anchor; integrands starting at zero are smooth
     # there and take the stretch as one panel
@@ -263,20 +268,24 @@ def _pi_panels(lower: float, upper: float, n_spans: int, row: np.ndarray,
     k = math.floor(lower / math.pi)
     while k * math.pi <= lower:  # k*pi: the first multiple of pi above lower
         k += 1
-    # the stretch up to the first multiple of pi, where only a partial first
-    # panel (lower >= pi) can close a period
-    a, b = np.array(edges), np.append(edges[1:], min(k * math.pi, upper))
-    yield own_nodes(a, b, np.where(b < upper, k if k >= 2 else 0, 0))
+    if k >= 2 and (k - 1) * math.pi == lower:  # a whole period starts at lower
+        k -= 1
+    else:
+        # the stretch up to the first multiple of pi, where only a partial
+        # first panel (lower >= pi) can close a period
+        a, b = np.array(edges), np.append(edges[1:], min(k * math.pi, upper))
+        yield own_nodes(a, b, np.where(b < upper, k if k >= 2 else 0, 0))
     while k * math.pi < upper:
         ks = np.arange(k + 1, k + 1 + per_block)
-        ks = ks[ks * math.pi < upper]
+        ks = ks[ks * math.pi <= upper]
         if len(ks):
             a = (ks - 1) * math.pi
-            yield a, row, (ks * math.pi - a) / period, ks
+            yield a, row, ks * math.pi - a, np.where(ks * math.pi < upper, ks, 0)
         k += len(ks)
-        if len(ks) < per_block:  # the last panel, [k pi, upper]
-            yield own_nodes(np.array([k * math.pi]), np.array([upper]), np.zeros(1, int))
-            return
+        if len(ks) < per_block:
+            break
+    if k * math.pi < upper:  # the last panel, [k pi, upper]
+        yield own_nodes(np.array([k * math.pi]), np.array([upper]), np.zeros(1, int))
 
 
 def _simpson_weights(n_sub: int) -> np.ndarray:
@@ -287,14 +296,16 @@ def _simpson_weights(n_sub: int) -> np.ndarray:
     return weights
 
 
-def _simpson_block(s: np.ndarray, tau, h: np.ndarray, f: Callable, work=None,
-                   shared: Optional[tuple] = None) -> np.ndarray:
-    """Composite-Simpson values of the panels of a layout (s, tau, h), the
-    nodes kept in `work` when given.  A tau of one row, shared by all, comes
-    with `shared`, its Simpson weights, phi and phase factors: one call
-    f(nodes, (s, tau, phi, waves)) on the grid.  A list tau holds the nodes
-    of panels of any lengths at s = 0: one call f(nodes, None) on them all.
-    The rows are summed without BLAS, whose threads gain no wall time."""
+def _panel_block(s: np.ndarray, tau, h: np.ndarray, f: Callable, work=None,
+                 shared: Optional[tuple] = None) -> np.ndarray:
+    """Values of the panels of a layout (s, tau, h), the nodes kept in
+    `work` when given.  A tau of one row, the whole periods' template shared
+    by all, comes with `shared`, its weights (summing to 1), phi and phase
+    factors: one call f(nodes, (s, tau, phi, waves)) on the grid, each row's
+    weighted sum times its length h.  A list tau holds the nodes of panels of
+    any lengths at s = 0, each a composite Simpson rule of step h: one call
+    f(nodes, None) on them all.  The rows are summed without BLAS, whose
+    threads gain no wall time."""
     if isinstance(tau, list):
         ends = np.cumsum([len(t) for t in tau])
         values = f(np.concatenate(tau, out=_buffer(work, "nodes", (ends[-1],), float)), None)
@@ -302,29 +313,29 @@ def _simpson_block(s: np.ndarray, tau, h: np.ndarray, f: Callable, work=None,
                                for v in np.split(values, ends[:-1])]) * h / 3.0
     nodes = np.add(s[:, None], tau, out=_buffer(work, "nodes", (len(s), tau.shape[1]), float))
     weights, *offsets = shared
-    return np.einsum("ij,j->i", f(nodes, (s, tau, *offsets)), weights) * h / 3.0
+    return np.einsum("ij,j->i", f(nodes, (s, tau, *offsets)), weights) * h
 
 
 def _integrate_panels(lower: float, upper: float, d: DerivedSpan, head: float = 0.0,
                       target: Optional[float] = None,
                       ) -> Tuple[float, int, Optional[int], float, float, float]:
-    """Composite-Simpson sum of ln(zeta_max/z) xi(z) over the pi-aligned
-    panels of [lower, upper], bounded and evaluated one block of
-    :func:`_pi_panels` at a time.
+    """Sum of ln(zeta_max/z) xi(z) over the pi-aligned panels of [lower,
+    upper], bounded and evaluated one block of :func:`_pi_panels` at a time.
 
-    The offsets of a whole period, their Simpson weights, phi and each
-    segment's phase factor on them are built once per integral; the blocks
-    share this thread's node grid and kernel arrays, grown for a larger
-    block and kept for the thread's next integral.  With a `target`, the sum
+    The offsets of the whole periods' template, _PERIOD_U on each of
+    ceil(n_spans/8) sub-panels, their weights, phi and each segment's phase
+    factor on them are built once per integral; the blocks share this
+    thread's node grid and kernel arrays, grown for a larger block and kept
+    for the thread's next integral.  With a `target`, the sum
     stops at the first panel closing a period k, a power of two, whose
     :func:`tail_mean` remainder (m = k - 1) is <= target * (head + panels so
     far).  Returns (sum of the panels, panels evaluated, m or None, and
     tail_mean's three values at the stop, or zeros).
     """
     work: dict = vars(_BLOCK_ARRAYS)  # this thread's own dict
-    period = int(_subintervals(math.pi, d.n_spans))
-    row = np.linspace(0.0, math.pi, period + 1)[None, :]
-    shared = (_simpson_weights(period), phased_array(row, d.n_spans),
+    parts = -(-d.n_spans // 8)
+    row = (math.pi / parts) * (np.arange(parts)[:, None] + _PERIOD_U).reshape(1, -1)
+    shared = (np.tile(_PERIOD_W / parts, parts), phased_array(row, d.n_spans),
               [_wave(lam, row) for lam in d.lam])
 
     def f(z, layout):
@@ -337,7 +348,7 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan, head: float = 
     for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, row):
         tested = (k > 0) & (k & (k - 1) == 0)  # k = m + 1 a power of two
         if law is None or not tested.any():  # no stop in this block
-            values.extend(_simpson_block(s, tau, h, f, work, shared).tolist())
+            values.extend(_panel_block(s, tau, h, f, work, shared).tolist())
             continue
         # NaN where no stop is allowed: it compares false against any estimate
         bound, mean, swing = np.full(len(s), np.nan), np.zeros(len(s)), np.zeros(len(s))
@@ -349,7 +360,7 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan, head: float = 
         admissible = np.flatnonzero(bound <= target * done)
         if admissible.size:
             s, tau, h, k, bound = (x[:admissible[0] + 1] for x in (s, tau, h, k, bound))
-        block = _simpson_block(s, tau, h, f, work, shared)
+        block = _panel_block(s, tau, h, f, work, shared)
         estimates = done + np.cumsum(block)
         stops = np.flatnonzero(bound <= target * estimates)
         if stops.size:
@@ -363,11 +374,10 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan, head: float = 
 
 def integrate_body(lower: float, upper: float, d: DerivedSpan,
                    settings: QuadratureSettings) -> float:
-    """Composite-Simpson integral of the log-weighted kernel
-    ln(zeta_max/z) xi(z) over [lower, upper], 0 < lower < upper <= zeta_max,
-    on pi-aligned panels: the body that :func:`log_weighted_integral` sums,
-    without truncation.  The rule is fixed: `settings` is accepted but not
-    read.
+    """Integral of the log-weighted kernel ln(zeta_max/z) xi(z) over
+    [lower, upper], 0 < lower < upper <= zeta_max, on pi-aligned panels: the
+    body that :func:`log_weighted_integral` sums, without truncation.  The
+    rule is fixed: `settings` is accepted but not read.
     """
     if not upper > lower:
         raise ValueError("upper must exceed lower")

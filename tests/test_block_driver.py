@@ -2,8 +2,10 @@
 
 `reference_integral` keeps that driver as an oracle: one kernel call per
 panel, a per-panel exact sum, and the stop test re-summing every panel so far
-after each full period.  The block driver must reach the same truncation
-decisions on the same panels and agree on the value to rounding.
+after each full period.  Each panel takes its rule from `reference_rules`:
+the Gauss template on a whole period, composite Simpson on the others.  The
+block driver must reach the same truncation decisions on the same panels and
+agree on the value to rounding.
 """
 
 import math
@@ -33,8 +35,12 @@ from hybridgn.link import MAX_SPAN_COUNT
 from hybridgn.quadrature import tail_mean
 from conftest import ATLANTIC, LOSSLESS, QSMF, SMF, THREE_FIBER
 
-#: Simpson subintervals per oscillation of phi in the driver's rule.
+#: Simpson subintervals per oscillation of phi in the driver's rule of the
+#: panels that are not whole periods.
 PER_OSCILLATION = 16
+#: Gauss-Legendre nodes per sub-panel of a whole period, and oscillations of
+#: phi per sub-panel at most.
+TEMPLATE_NODES, OSCILLATIONS_PER_SUBPANEL = 24, 8
 
 
 def reference_layout(lower, upper):
@@ -56,31 +62,50 @@ def reference_layout(lower, upper):
     return np.array(edges[:-1]), np.array(edges[1:]), np.array(ks[1:])
 
 
-def reference_subintervals(lower, upper, n_spans, per_osc):
-    """Simpson subintervals per panel of reference_layout, from the panel's
-    nominal length."""
-    counts = []
+def template_offsets(n_spans):
+    """The offsets in [0, pi] and the weights (summing to pi) of a whole
+    period's rule: TEMPLATE_NODES Gauss-Legendre nodes on each of
+    ceil(n_spans / OSCILLATIONS_PER_SUBPANEL) equal sub-panels."""
+    parts = -(-n_spans // OSCILLATIONS_PER_SUBPANEL)
+    x, w = np.polynomial.legendre.leggauss(TEMPLATE_NODES)
+    tau = math.pi * ((np.arange(parts)[:, None] + (x + 1.0) / 2.0) / parts).ravel()
+    return tau, np.tile(w, parts) * math.pi / (2.0 * parts)
+
+
+def _whole(a, b):
+    """Whether the panel [a, b] is a whole period [k pi, (k+1) pi], k >= 1."""
+    k = round(a / math.pi)
+    return k >= 1 and a == k * math.pi and b == (k + 1) * math.pi
+
+
+def reference_rules(lower, upper, n_spans, per_osc=PER_OSCILLATION):
+    """Yield (k, nodes, weights) per panel of reference_layout: the template
+    on a whole period, wherever it lies, else composite Simpson with per_osc
+    subintervals per oscillation of the panel's length, at least 2 per_osc."""
     for a, b, k_end in zip(*reference_layout(lower, upper)):
-        # a whole period counts as pi long, whatever b - a rounds to
-        whole = k_end >= 2 and a == (k_end - 1) * math.pi
-        length = math.pi if whole else b - a
-        counts.append(max(2 * per_osc, 2 * int(math.ceil(length / math.pi * n_spans * per_osc
-                                                         / 2.0))))
-    return np.array(counts)
-
-
-def reference_panels(lower, upper, d, per_osc):
-    """Yield (k, value) per panel: one kernel call and an fsum Simpson each,
-    on the subinterval count of the panel's nominal length at per_osc
-    subintervals per oscillation."""
-    counts = reference_subintervals(lower, upper, d.n_spans, per_osc)
-    for (a, b, k_end), n_sub in zip(zip(*reference_layout(lower, upper)), counts):
-        nodes = np.linspace(a, b, n_sub + 1)
+        if _whole(a, b):
+            tau, weights = template_offsets(n_spans)
+            yield int(k_end), a + tau, weights
+            continue
+        n_sub = max(2 * per_osc, 2 * int(math.ceil((b - a) / math.pi * n_spans * per_osc
+                                                   / 2.0)))
         w = np.ones(n_sub + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
+        yield int(k_end), np.linspace(a, b, n_sub + 1), w * ((b - a) / n_sub) / 3.0
+
+
+def reference_sizes(lower, upper, n_spans):
+    """Kernel nodes per panel of reference_layout."""
+    return np.array([len(nodes) for _, nodes, _ in reference_rules(lower, upper, n_spans)])
+
+
+def reference_panels(lower, upper, d, per_osc=PER_OSCILLATION):
+    """Yield (k, value) per panel: one kernel call and an fsum of its
+    reference_rules each."""
+    for k_end, nodes, weights in reference_rules(lower, upper, d.n_spans, per_osc):
         f = np.log(d.zeta_max / nodes) * xi(nodes, d)
-        yield int(k_end), math.fsum((w * f).tolist()) * ((b - a) / n_sub) / 3.0
+        yield k_end, math.fsum((weights * f).tolist())
 
 
 def _tested(k):
@@ -97,7 +122,7 @@ def reference_integral(d, settings):
     values = []
     truncation_m = None
     mean = oscillation = remainder = 0.0
-    for k_end, value in reference_panels(delta, d.zeta_max, d, PER_OSCILLATION):
+    for k_end, value in reference_panels(delta, d.zeta_max, d):
         values.append(value)
         if settings.truncation_enabled and _tested(k_end):
             running = head + math.fsum(values)
@@ -174,14 +199,16 @@ def _first_admissible_m(d, settings, running):
 
 
 def _body_calls(monkeypatch):
-    """Record (first node, node count, layout) of every kernel call of the
-    body; the head's calls, whose nodes start at 0, are left out."""
+    """Record (start, node count, layout) of every kernel call of the body,
+    the start being the first row's s on a layout, else the first node; the
+    head's calls, whose nodes start at 0, are left out."""
     calls = []
     real_xi = quadrature.xi
 
     def recording_xi(zeta, d, layout=None, work=None):
         if np.min(zeta) > 0.0:
-            calls.append((float(np.min(zeta)), np.size(zeta), layout))
+            start = np.min(zeta) if layout is None else layout[0][0]
+            calls.append((float(start), np.size(zeta), layout))
         return real_xi(zeta, d, layout, work)
 
     monkeypatch.setattr(quadrature, "xi", recording_xi)
@@ -218,18 +245,15 @@ def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
 
     assert calls and rep.truncation_m is not None
     lowers, ends = reference_layout(rep.delta, d.zeta_max)[:2]
-    sizes = reference_subintervals(rep.delta, d.zeta_max, d.n_spans, PER_OSCILLATION) + 1
+    sizes = reference_sizes(rep.delta, d.zeta_max, d.n_spans)
     first_panel, last_panel = np.array(_held_panels(calls, lowers, sizes)).T
     for (_, _, layout), last in zip(calls, last_panel):
         if layout is not None:
-            # the first node of the last row: s + tau is exact there, while
-            # the top node s + pi need not round to the panel end
-            s, tau = layout[:2]
-            assert s[-1] + tau[-1, 0] == lowers[last]
+            assert layout[0][-1] == lowers[last]  # the last row's start
     blocks = ends[last_panel]
     # the stop lies in the last block
     assert first_panel[-1] < rep.panels_evaluated <= last_panel[-1] + 1
-    ref = [v for _, v in reference_panels(rep.delta, d.zeta_max, d, PER_OSCILLATION)]
+    ref = [v for _, v in reference_panels(rep.delta, d.zeta_max, d)]
     for top, first in zip(blocks, first_panel):
         cap = _first_admissible_m(d, settings, rep.head + math.fsum(ref[:first]))
         if cap is not None:
@@ -241,10 +265,10 @@ def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
 def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
     """Kernel calls are blocks of up to BLOCK_NODES nodes, not single panels;
     blocks of periods are one panels x nodes grid, every whole period with
-    the subinterval count of pi, 60 * 16 at N = 60, and all of them share the
-    one row of offsets, phi and phase factors built for the integral; the
-    graded panels below pi are one call.  The body runs to zeta_max, through
-    all its periods."""
+    the template's offsets, 24 * 8 at N = 60, and all of them share the one
+    row of offsets, phi and phase factors built for the integral; the graded
+    panels below pi are one call.  The body runs to zeta_max, through all
+    its periods."""
     d = _coherent(SpanPlan((QSMF, SMF)), 60)
     calls = _body_calls(monkeypatch)
     rep = log_weighted_integral(d, QuadratureSettings(truncation_enabled=False))
@@ -255,16 +279,16 @@ def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
     for size, (s, tau, phi, waves) in grids:
         assert size == len(s) * tau.shape[1]  # one panels x nodes grid
         k = np.rint(s / math.pi)
-        # rows k pi + tau with one shared row of offsets from 0 to pi
+        # rows k pi + tau with one shared row of the template's offsets
         assert np.all((k >= 1) & (s == k * math.pi))
-        assert len(tau) == 1 and tau[0, 0] == 0.0 and tau[0, -1] == math.pi
-        assert tau.shape[1] == 60 * 16 + 1
+        assert tau.shape == (1, 24 * 8)
+        assert np.allclose(tau[0], template_offsets(60)[0], rtol=1e-15, atol=0.0)
         periods += len(s)
     for part in range(1, 4):
         assert len({id(layout[part]) for _, layout in grids}) == 1
     # the graded panels below pi, one call
     lowers = reference_layout(rep.delta, d.zeta_max)[0]
-    sizes = reference_subintervals(rep.delta, d.zeta_max, 60, PER_OSCILLATION) + 1
+    sizes = reference_sizes(rep.delta, d.zeta_max, 60)
     first, last = _held_panels(calls, lowers, sizes)[0]
     assert calls[0][2] is None and last > first and lowers[last + 1] == math.pi
     # the periods [pi, 2 pi] .. [(K-1) pi, K pi], K pi the last multiple below zeta_max
@@ -319,7 +343,7 @@ def test_block_arrays_outlive_the_integral():
 
 
 def test_a_period_at_the_span_limit_fits_one_block(monkeypatch):
-    """At MAX_SPAN_COUNT spans a whole period, 16,001 nodes, is one grid row
+    """At MAX_SPAN_COUNT spans a whole period, 3,000 nodes, is one grid row
     within a block, every kernel call holds at most BLOCK_NODES nodes, and the
     thread keeps no array larger than a block after the integral."""
     d = _coherent(SpanPlan((QSMF, SMF)), MAX_SPAN_COUNT)
@@ -337,7 +361,7 @@ def test_a_period_at_the_span_limit_fits_one_block(monkeypatch):
     grids = [(size, layout) for _, size, layout in calls if layout is not None]
     assert grids
     for size, (s, tau, _, _) in grids:
-        assert tau.shape == (1, PER_OSCILLATION * MAX_SPAN_COUNT + 1)
+        assert tau.shape == (1, TEMPLATE_NODES * MAX_SPAN_COUNT // OSCILLATIONS_PER_SUBPANEL)
         assert size == len(s) * tau.shape[1] <= quadrature.BLOCK_NODES
     assert max(size for _, size, _ in calls) <= quadrature.BLOCK_NODES
     assert kept["sizes"] and max(kept["sizes"]) <= quadrature.BLOCK_NODES
@@ -357,7 +381,7 @@ def test_a_stretch_larger_than_a_block_is_one_call(monkeypatch):
     assert ours.tail_bound == ref.tail_bound
     assert ours.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
     lowers = reference_layout(ours.delta, d.zeta_max)[0]
-    sizes = reference_subintervals(ours.delta, d.zeta_max, d.n_spans, PER_OSCILLATION) + 1
+    sizes = reference_sizes(ours.delta, d.zeta_max, d.n_spans)
     first, last = _held_panels(calls, lowers, sizes)[0]
     assert calls[0][2] is None and (first, last) == (0, 29) and lowers[last + 1] == math.pi
     assert calls[0][1] == 16650 > quadrature.BLOCK_NODES
@@ -420,31 +444,32 @@ def test_an_integral_after_others_matches_it_run_first():
 
 
 def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):
-    """integrate_body shares the block evaluator with the driver."""
+    """integrate_body shares the block evaluator with the driver, Simpson on
+    the panels that are not whole periods and the template on those that
+    are, also where a range starts or ends on a multiple of pi."""
     settings = QuadratureSettings()
-    lower, upper = 0.01, 40.0 * math.pi + 0.5
-    ours = integrate_body(lower, upper, d_atlantic, settings)
-    ref = math.fsum(v for _, v in reference_panels(lower, upper, d_atlantic, PER_OSCILLATION))
-    assert ours == pytest.approx(ref, rel=1e-13, abs=0.0)
+    for lower, upper in ((0.01, 40.0 * math.pi + 0.5), (math.pi, 40.0 * math.pi),
+                         (3.0 * math.pi, 3.5 * math.pi), (2.5, 4.0 * math.pi)):
+        ours = integrate_body(lower, upper, d_atlantic, settings)
+        ref = math.fsum(v for _, v in reference_panels(lower, upper, d_atlantic))
+        assert ours == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_block_nodes_follow_linspace():
-    """A block lays out each panel's nodes as np.linspace would: exactly for
-    the panels with nodes of their own, which one call takes end to end, and
-    to the rounding of s + tau for whole periods, which share one row of
-    offsets."""
+    """A block lays out each panel's nodes as the reference does: exactly
+    np.linspace for the panels with nodes of their own, which one call takes
+    end to end, and to the rounding of s + tau for whole periods, which share
+    one row of offsets."""
     lower, upper, n_spans = 0.3, 3.0 * math.pi + 0.5, 200
-    period = n_spans * PER_OSCILLATION
-    row = np.linspace(0.0, math.pi, period + 1)[None, :]
-    a, b, _ = reference_layout(lower, upper)
-    expected = [np.linspace(x, y, n + 1) for x, y, n in
-                zip(a, b, reference_subintervals(lower, upper, n_spans, PER_OSCILLATION))]
+    tau_row, weights = template_offsets(n_spans)
+    row = tau_row[None, :]
+    expected = [nodes for _, nodes, _ in reference_rules(lower, upper, n_spans)]
     panels = 0
     for s, tau, h, _ in quadrature._pi_panels(lower, upper, n_spans, row):
         seen = []
-        quadrature._simpson_block(s, tau, h,
-                                  lambda z, layout: seen.append(z.copy()) or np.ones_like(z),
-                                  shared=(quadrature._simpson_weights(period),))
+        quadrature._panel_block(s, tau, h,
+                                lambda z, layout: seen.append(z.copy()) or np.ones_like(z),
+                                shared=(weights,))
         rows = expected[panels:panels + len(s)]
         panels += len(s)
         if tau is row:

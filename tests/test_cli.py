@@ -38,7 +38,7 @@ def test_gamma_csv_report():
     assert report["span_count"] == "60"
     assert float(report["zeta0"]) == pytest.approx(1088.770541700461, rel=1e-12)
     assert float(report["gamma_nl_per_w2"]) == pytest.approx(
-        10016.992081055912, rel=1e-12)
+        10016.992122573714, rel=1e-12)
     assert float(report["f_phase_hz"]) == pytest.approx(
         3085881986.6543927, rel=1e-12)
     assert report["truncation_m"] == "31"
@@ -50,9 +50,9 @@ def test_gamma_json_report():
     report = json.loads(res.stdout)
     assert report["truncation_m"] == 31
     assert report["panels_evaluated"] == 40
-    assert report["gamma_nl_per_w2"] == pytest.approx(10016.992081055912,
+    assert report["gamma_nl_per_w2"] == pytest.approx(10016.992122573714,
                                                       rel=1e-12)
-    assert report["integral_value"] == pytest.approx(63.11461744386851,
+    assert report["integral_value"] == pytest.approx(63.114617705462024,
                                                      rel=1e-12)
 
 
@@ -76,7 +76,7 @@ def test_gamma_without_truncation():
     assert report["panels_evaluated"] == "355"
     assert float(report["tail_bound"]) == 0.0
     assert float(report["gamma_nl_per_w2"]) == pytest.approx(
-        10017.000280596165, rel=1e-12)
+        10017.000322116135, rel=1e-12)
 
 
 def test_gamma_span_scaled_variant():
@@ -87,7 +87,7 @@ def test_gamma_span_scaled_variant():
     report = json.loads(res.stdout)
     assert report["variant"] == "span_scaled"
     assert report["epsilon"] == 0.15
-    assert report["gamma_nl_per_w2"] == pytest.approx(13298.169924846743,
+    assert report["gamma_nl_per_w2"] == pytest.approx(13298.169189988848,
                                                       rel=1e-12)
 
 
@@ -157,6 +157,37 @@ def test_gamma_non_finite_result_is_a_numerical_error(tmp_path):
         lines = res.stderr.decode().splitlines()
         assert len(lines) == 1, (args, lines)
         assert lines[0].startswith("numerical error: gamma_nl is not finite"), args
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+def test_a_segment_whose_dispersion_times_length_underflows_is_a_config_error(
+        tmp_path, position):
+    """A 1e-302 km segment has beta2 * length = 0 in floats, so lam_k = 0,
+    which the span's decay rates and tail law divide by: a config error
+    naming the segment, in one line.  At 1e-301 km the product is a
+    subnormal, and gamma_nl comes out finite without a floating-point
+    warning."""
+    raw = json.loads(Path(ATLANTIC_CFG).read_text())
+    raw["span"][position]["length_km"] = 1e-302
+    p = tmp_path / "underflow.json"
+    p.write_text(json.dumps(raw))
+    res = run_cli("gamma", "--config", str(p))
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == b""
+    lines = res.stderr.decode().splitlines()
+    assert len(lines) == 1 and "config error" in lines[0], lines
+    assert repr(raw["span"][position]["name"]) in lines[0]
+    assert "underflows" in lines[0]
+
+    raw["span"][position]["length_km"] = 1e-301
+    p.write_text(json.dumps(raw))
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hybridgn",
+                          "gamma", "--config", str(p), "--format", "json"],
+                         capture_output=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == b""
+    gamma = json.loads(res.stdout)["gamma_nl_per_w2"]
+    assert math.isfinite(gamma) and gamma > 0.0
 
 
 def test_gamma_below_the_float_range_is_a_numerical_error(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -21,10 +22,11 @@ from hybridgn import (
     xi,
 )
 from hybridgn import quadrature
-from hybridgn.quadrature import _HEAD_U, _HEAD_W, _gauss_legendre, _simpson_block, tail_mean
+from hybridgn.quadrature import _HEAD_U, _HEAD_W, _gauss_legendre, _panel_block, tail_mean
 from conftest import (ATLANTIC, QSMF, SMF, TOY, fejer_log_moment, fejer_running_integral,
                       singular_head)
 from test_block_driver import reference_panels
+from test_tail_mean import LONG, SPANS
 
 
 def _xi_scalar(z, d):
@@ -223,8 +225,8 @@ def test_fejer_antiderivatives_match_quadrature():
 
 def _simpson(f, a, b, n_sub):
     """The body's block Simpson rule on the one panel [a, b]."""
-    return float(_simpson_block(np.zeros(1), [np.linspace(a, b, n_sub + 1)],
-                                np.array([(b - a) / n_sub]), lambda z, layout: f(z))[0])
+    return float(_panel_block(np.zeros(1), [np.linspace(a, b, n_sub + 1)],
+                              np.array([(b - a) / n_sub]), lambda z, layout: f(z))[0])
 
 
 def test_body_exact_for_cubics():
@@ -257,8 +259,51 @@ def test_body_is_additive_over_subranges(d_atlantic, settings):
     assert whole == pytest.approx(parts, rel=1e-13)
 
 
+#: The span shapes of the whole-period check: tests/test_tail_mean.py's, a
+#: 1 pm first segment, and the QSMF + SMF span with both lengths x10.
+PERIOD_SHAPES = {**SPANS, "1 pm first segment": SpanPlan((replace(QSMF, length=1e-12), SMF)),
+                 "lengths x10": LONG}
+PERIOD_SPAN_COUNTS = (1, 2, 7, 60, 200, 1000)
+PERIOD_CHANNELS = (3, 9, 80)
+
+
+@functools.lru_cache(maxsize=None)
+def _period_oracle(n_spans):
+    """Offsets in [0, pi] and weights of a pi-aligned Gauss oracle: numpy's
+    leggauss(4 n + 64) on each of ceil(n_spans / 200) equal parts of a
+    period, n = n_spans / parts.  One part up to 200 spans; past that numpy's
+    weights lose digits (4.7e-7 of the end weights at 4,064 nodes)."""
+    parts = -(-n_spans // 200)
+    x, w = np.polynomial.legendre.leggauss(4 * -(-n_spans // parts) + 64)
+    u = ((np.arange(parts)[:, None] + (x + 1.0) / 2.0) / parts).ravel()
+    return math.pi * u, np.tile(w, parts) * math.pi / (2.0 * parts)
+
+
+@pytest.mark.parametrize("n_spans", PERIOD_SPAN_COUNTS)
+@pytest.mark.parametrize("shape", sorted(PERIOD_SHAPES))
+def test_whole_periods_match_a_gauss_oracle(shape, n_spans):
+    """The first 64 whole periods [k pi, (k+1) pi] below zeta_max, each
+    integrated by integrate_body (on the template), differ from the oracle
+    by at most 1e-12 of the integral in the sum of |difference|.  The channel
+    count cycles through 3, 9 and 80 across the grid."""
+    channels = PERIOD_CHANNELS[(sorted(PERIOD_SHAPES).index(shape)
+                                + PERIOD_SPAN_COUNTS.index(n_spans)) % 3]
+    d = derive_span(PERIOD_SHAPES[shape], replace(ATLANTIC, span_count=n_spans,
+                                                  channel_count=channels))
+    ks = np.array([k for k in range(1, 65) if (k + 1) * math.pi <= d.zeta_max])
+    tau, weights = _period_oracle(n_spans)
+    z = ks[:, None] * math.pi + tau
+    oracle = (np.log(d.zeta_max / z) * xi(z, d)) @ weights
+    full = QuadratureSettings(truncation_enabled=False)
+    ours = np.array([integrate_body(k * math.pi, (k + 1) * math.pi, d, full) for k in ks])
+    total = log_weighted_integral(d, QuadratureSettings()).value
+    assert len(ks) >= 18
+    assert np.sum(np.abs(ours - oracle)) <= 1e-12 * total
+
+
 def test_body_node_count_convergence(d_atlantic, settings):
-    """The body's rule against the same panels at three times the density."""
+    """The body's rule against the same panels with three times the Simpson
+    density on the panels that are not whole periods."""
     ours = integrate_body(0.01, 20.0 * math.pi, d_atlantic, settings)
     fine = math.fsum(v for _, v in reference_panels(0.01, 20.0 * math.pi, d_atlantic, 48))
     assert ours == pytest.approx(fine, rel=1e-6)
@@ -374,7 +419,7 @@ def test_driver_stops_at_once_without_nonlinearity(hybrid_span, settings):
 
 def test_driver_report_frozen_values(d_atlantic, settings):
     rep = log_weighted_integral(d_atlantic, settings)
-    assert rep.value == pytest.approx(63.11461744386851, rel=1e-12)
+    assert rep.value == pytest.approx(63.114617705462024, rel=1e-12)
     assert rep.head == pytest.approx(18.30916377708156, rel=1e-12)
     assert rep.tail_bound == pytest.approx(0.005589131839118636, rel=1e-12)
     assert rep.delta == pytest.approx(0.008660254037844388, rel=1e-14)
@@ -389,7 +434,7 @@ def test_driver_report_frozen_values(d_atlantic, settings):
 def test_driver_without_truncation(d_atlantic, settings):
     rep = log_weighted_integral(d_atlantic,
                                 replace(settings, truncation_enabled=False))
-    assert rep.value == pytest.approx(63.114669107166435, rel=1e-12)
+    assert rep.value == pytest.approx(63.11466936877361, rel=1e-12)
     assert rep.panels_evaluated == 355
     assert rep.truncation_m is None
     assert rep.tail_bound == 0.0
