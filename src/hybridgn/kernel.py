@@ -4,9 +4,9 @@ The integrand of the single-integral noise reduction factorizes as
 xi(zeta) = phi(zeta) * eta(zeta): a phased-array factor phi carrying the
 span-to-span coherence and an FWM efficiency eta carrying the intra-span
 interference of all fiber segments.  Both are evaluated here, vectorized
-over zeta.  On a period layout zeta = s + tau (s a multiple of pi), phi is
-taken on tau alone and each segment phase is a factor of s times one of tau;
-the layout brings both tau parts, built once for rows that share tau.
+over zeta.  On a period layout zeta = s + tau (s a multiple of pi), each
+segment phase is a factor of s times one of tau, built once for rows that
+share tau, and phi, pi-periodic, is taken on tau alone.
 
 eta keeps the dimensional factor (gamma * length)^2, so it is in 1/W^2;
 phi is dimensionless and lies in [0, 1].
@@ -101,7 +101,7 @@ def fwm_efficiency(zeta, d: DerivedSpan, layout=None, work=None):
     `layout` and `work` are as for :func:`xi`.
     """
     z = np.atleast_1d(np.asarray(zeta, dtype=float))
-    s, waves = (0.0, None) if layout is None else (layout[0][:, None], layout[3])
+    s, waves = (0.0, None) if layout is None else (layout[0][:, None], layout[2])
     amp = _segment_amplitude(z, d, s, waves, work)
     eta = np.square(amp.real, out=_buffer(work, "eta", z.shape, float))
     eta += np.square(amp.imag, out=amp.imag)
@@ -130,14 +130,14 @@ def phased_array(zeta, n_spans: int):
 def xi(zeta, d: DerivedSpan, layout=None, work=None):
     """Full integrand factor xi = phi * eta, in 1/W^2.
 
-    A `layout` (s, tau, phi, waves) gives the nodes as zeta = s[:, None] +
-    tau: row starts s_i at multiples of pi, and offsets tau with one row
-    shared by all or one row each.  It brings phi(tau), phi being
-    pi-periodic, and the list of each segment's e^{-2i lam_k tau}, built once
-    for calls that share tau.  No layout means s = 0, tau = zeta.  With a
-    `work` dict the buffers are kept across calls, and the result is a view
-    into them.
+    A `layout` (s, tau, waves) gives the nodes as zeta = s[:, None] + tau:
+    row starts s_i at multiples of pi, offsets tau with one row shared by all
+    or one row each, and the list of each segment's e^{-2i lam_k tau}, built
+    once for calls that share tau; phi is taken on tau.  (The body's whole
+    periods carry phi in their weights, and take eta alone on a layout.)  No
+    layout means s = 0, tau = zeta.  With a `work` dict the buffers are kept
+    across calls, and the result is a view into them.
     """
-    phi = phased_array(zeta, d.n_spans) if layout is None else layout[2]
+    phi = phased_array(zeta if layout is None else layout[1], d.n_spans)
     eta = fwm_efficiency(zeta, d, layout, work)
     return phi * eta if work is None else np.multiply(phi, eta, out=eta)

@@ -90,6 +90,12 @@ class SpanPlan:
             # phase in the same direction; dispersion-managed spans are out
             # of the model's validity range.
             raise ValueError("all segments in a span must share the dispersion sign")
+        # lam_k as derive_span takes it: the tail law divides by lam_k^2
+        b2l = np.array([s.beta2 * s.length for s in self.segments])
+        for s, share in zip(self.segments, np.abs(b2l) / abs(float(np.sum(b2l)))):
+            if share * share == 0.0:
+                raise ValueError(f"segment {s.name!r}: its share of the span's dispersion x "
+                                 f"length, {share:.3g}, underflows to 0 when squared")
 
     @property
     def length(self) -> float:
@@ -97,10 +103,9 @@ class SpanPlan:
         return float(sum(s.length for s in self.segments))
 
 
-#: Most spans a link may have.  The body's node count per period grows with
-#: the span count; far beyond this bound an integral runs out of memory or
-#: time.  Within it a period of the body fits in one block of
-#: quadrature.BLOCK_NODES nodes.
+#: Most spans a link may have.  A whole period costs 24 kernel nodes at any
+#: span count, but the other panels, the tail law's beat terms and the period
+#: weights grow with it; far beyond this bound an integral runs out of memory.
 MAX_SPAN_COUNT = 1000
 
 

@@ -9,29 +9,28 @@ oscillates with period pi.  The evaluator splits the range into
 
 * head  [0, delta]        Simpson under ln(zeta_max/delta), a Gauss rule in
                           ln(delta/zeta) under the rest of the log weight,
-* body  [delta, mu]       panels aligned to the pi grid: a fixed Gauss-Legendre
-                          template on every whole period, composite Simpson
-                          on the others,
+* body  [delta, mu]       panels aligned to the pi grid: a product rule on
+                          every whole period, composite Simpson on the
+                          others,
 * tail  [mu, zeta_max]    its mean and the leading term of its oscillation
                           in closed form, once a certified bound on the rest
                           is below the requested tolerance.
 
 The body's layout is decided in one place, :func:`_pi_panels`: it gives
-every whole period [k pi, (k+1) pi] the template, 24 Gauss-Legendre nodes on
-each of ceil(n_spans/8) equal sub-panels, and groups them into blocks of at
-most BLOCK_NODES nodes, so no array grows with zeta_max.  Whole periods
-share one row of offsets tau, its weights, phi(tau) and each segment's
-phase factor on tau, all built once per integral: a block of them is one
-grid of rows s_i + tau (s_i a multiple of pi), one kernel call and one row
-sum.  The other panels (graded below pi, a partial first one, a partial
-last one) take SUBINTERVALS_PER_OSCILLATION Simpson subintervals per
-oscillation of their length: one kernel call for the stretch below the
-first multiple of pi and one for the last panel, on their nodes laid end to
-end, each summed on its own.  Each thread keeps the kernel arrays across
-its integrals (grown, not renewed).  Within link.MAX_SPAN_COUNT spans none
-is larger than a block for delta_safety >= 1e-3; each halving of the head
-cut below that adds a graded panel of at least 33 nodes, up to about 49k
-nodes at 1e-300.
+every whole period [k pi, (k+1) pi] a product rule, phi (n_spans
+oscillations a period) in the weights and the smooth rest ln(zeta_max/z)
+eta(z) on 24 Gauss-Legendre nodes whatever n_spans, in blocks of at most
+BLOCK_NODES nodes, so no array grows with zeta_max.  A block of whole
+periods is one grid of rows s_i + tau (s_i a multiple of pi) on one row of
+offsets tau, one kernel call and one row sum.  The other panels (graded below pi, a partial
+first one, a partial last one) take SUBINTERVALS_PER_OSCILLATION Simpson
+subintervals per oscillation of their length: one kernel call for the
+stretch below the first multiple of pi and one for the last panel, on their
+nodes laid end to end, each summed on its own.  Each thread keeps the
+kernel arrays across its integrals (grown, not renewed).  Within
+link.MAX_SPAN_COUNT spans none is larger than a block for delta_safety >=
+1e-3; each halving of the head cut below that adds a graded panel of at
+least 33 nodes, up to about 49k nodes at 1e-300.
 Per block, :func:`tail_mean` gives each panel that closes a period k = m + 1
 that is a power of two the tail's closed form past it and a certified bound
 on the rest.  The body stops at the first whose bound is within the target
@@ -46,6 +45,7 @@ whatever the blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -54,8 +54,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import _buffer, _wave, phased_array, xi
-from .link import DerivedSpan
+from .kernel import _buffer, _wave, fwm_efficiency, phased_array, xi
+from .link import DerivedSpan, _readonly
 
 __all__ = [
     "QuadratureSettings",
@@ -72,14 +72,14 @@ __all__ = [
 
 #: Simpson subintervals per span oscillation (n_spans oscillations per pi) of
 #: the panels that are not whole periods, at least 32 per panel, and of the
-#: head's mass; whole periods take the Gauss template of :func:`_pi_panels`.
+#: head's mass; whole periods take the product rule of :func:`_period_weights`.
 SUBINTERVALS_PER_OSCILLATION = 16
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Tunables of the single-integral evaluator.  The quadrature rule is not
-    one of them: whole periods take a fixed Gauss template, the other panels
+    one of them: whole periods take a fixed product rule, the other panels
     SUBINTERVALS_PER_OSCILLATION Simpson subintervals per oscillation.
 
     Attributes
@@ -212,30 +212,46 @@ def refined_singular_head(delta: float, d: DerivedSpan,
 # ---------------------------------------------------------------------------
 # body
 
-#: Kernel nodes per block of whole periods at most.  A period has at most
-#: 3,000 nodes (24 * ceil(link.MAX_SPAN_COUNT / 8)), so a block holds five
-#: periods or more; only a hand-built span of over 5,000 spans makes a period
-#: that is a block of its own.
+#: Kernel nodes per block of whole periods at most.  A period has 24 nodes
+#: whatever the span count, so a block holds 682 periods.
 BLOCK_NODES = 1 << 14
 
-#: The whole periods' rule on [0, 1]: 24 Gauss-Legendre nodes u and weights,
-#: repeated on each sub-panel.  Over the first 64 periods it matches a 48-node
-#: rule to 3e-13 of the integral; 20 nodes are off by up to 9e-9.
+#: 24 Gauss-Legendre nodes u on [0, 1] and weights: the whole periods' nodes
+#: pi u, one row shared by all periods, and the rule :func:`_period_weights`
+#: repeats on ceil(n_spans/8) sub-panels to integrate phi in.
 _PERIOD_U, _PERIOD_W = _gauss_legendre(24)
 _PERIOD_U, _PERIOD_W = (_PERIOD_U + 1.0) / 2.0, _PERIOD_W / 2.0
+_PERIOD_ROW = math.pi * _PERIOD_U[None, :]
 
 #: Each thread's node grid and kernel arrays, kept across its integrals so
 #: that repeated integrals reuse their pages.
 _BLOCK_ARRAYS = threading.local()
 
 
-def _pi_panels(lower: float, upper: float, n_spans: int, row: np.ndarray,
-               ) -> Iterator[Tuple[np.ndarray, object, np.ndarray, np.ndarray]]:
+@functools.lru_cache(maxsize=None)
+def _period_weights(n_spans: int) -> np.ndarray:
+    """Read-only weights W of the product rule int_0^pi phi g = pi sum_i W_i
+    g(pi u_i), u = _PERIOD_U: W_i = (1/pi) int_0^pi phi l_i, l_i the Lagrange
+    basis at pi u in barycentric form (weights (-1)^i sqrt(u_i (1 - u_i)
+    w_i)), by _PERIOD_U on each of ceil(n_spans/8) sub-panels.  They sum to
+    1/n_spans; up to 8 spans the sub-panel is the period, l_i is 0 or 1 on
+    its nodes, and W_i = _PERIOD_W_i phi(pi u_i)."""
+    parts = -(-n_spans // 8)
+    tau = (math.pi / parts) * (np.arange(parts)[:, None] + _PERIOD_U).ravel()
+    diff = tau[:, None] - _PERIOD_ROW
+    hit = diff == 0.0
+    basis, free = hit.astype(float), ~hit.any(axis=1)
+    terms = (-1) ** np.arange(24) * np.sqrt(_PERIOD_U * (1.0 - _PERIOD_U) * _PERIOD_W) / diff[free]
+    basis[free] = terms / terms.sum(axis=1, keepdims=True)
+    return _readonly((np.tile(_PERIOD_W / parts, parts) * phased_array(tau, n_spans)) @ basis)
+
+
+def _pi_panels(lower: float, upper: float, n_spans: int,
+               ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Split [lower, upper] at multiples of pi; yield the panels one block at
-    a time as (s, tau, h, k), in the layout of :func:`_panel_block`: per
-    panel the start s of its nodes s + tau, its length (whole periods) or
-    Simpson step h, and the period k >= 2 that it closes (b = k*pi < upper),
-    or 0.
+    a time as (a, b, n, k), in the layout of :func:`_panel_block`: per panel
+    its ends a and b, its Simpson subintervals n (0 for a whole period), and
+    the period k >= 2 that it closes (b = k*pi < upper), or 0.
 
     Below the first pi edge the log weight still varies on the scale of zeta
     itself, so that stretch is subdivided geometrically (each sub-panel about
@@ -243,23 +259,19 @@ def _pi_panels(lower: float, upper: float, n_spans: int, row: np.ndarray,
     otherwise lose four orders of accuracy right above the head cut.
 
     Every whole period [(k - 1) pi, k pi] within [lower, upper], also one
-    that starts at lower or ends at upper, takes `row`, the offsets of the
-    Gauss template, from s = (k - 1) pi, in blocks of at most BLOCK_NODES
-    nodes (or of one larger period).  The others get
-    SUBINTERVALS_PER_OSCILLATION Simpson subintervals per oscillation of phi
-    (n_spans per period) of their length b - a, even and at least twice
-    that, and come as s = 0 and the list of their nodes np.linspace(a, b),
-    in two blocks of any size: the stretch up to the first multiple of pi,
-    and the last panel.
+    that starts at lower or ends at upper, takes the product rule, in blocks
+    of at most BLOCK_NODES nodes.  The others get SUBINTERVALS_PER_OSCILLATION
+    Simpson subintervals per oscillation of phi (n_spans per period) of their
+    length b - a, even and at least twice that, in two blocks of any size:
+    the stretch up to the first multiple of pi, and the last panel.
     """
     def own_nodes(a, b, k):
         per_osc = SUBINTERVALS_PER_OSCILLATION
         n_sub = np.maximum(2 * per_osc, 2 * np.ceil((b - a) / math.pi * (n_spans * per_osc) / 2.0)
                            ).astype(np.int64)
-        return (np.zeros(len(a)), [np.linspace(x, y, n + 1) for x, y, n in zip(a, b, n_sub)],
-                (b - a) / n_sub, k)
+        return a, b, n_sub, k
 
-    per_block = max(1, BLOCK_NODES // row.shape[1])
+    per_block = BLOCK_NODES // _PERIOD_ROW.shape[1]
     edges = [lower]
     # grading needs a positive anchor; integrands starting at zero are smooth
     # there and take the stretch as one panel
@@ -279,8 +291,7 @@ def _pi_panels(lower: float, upper: float, n_spans: int, row: np.ndarray,
         ks = np.arange(k + 1, k + 1 + per_block)
         ks = ks[ks * math.pi <= upper]
         if len(ks):
-            a = (ks - 1) * math.pi
-            yield a, row, ks * math.pi - a, np.where(ks * math.pi < upper, ks, 0)
+            yield (ks - 1) * math.pi, ks * math.pi, 0 * ks, np.where(ks * math.pi < upper, ks, 0)
         k += len(ks)
         if len(ks) < per_block:
             break
@@ -296,24 +307,32 @@ def _simpson_weights(n_sub: int) -> np.ndarray:
     return weights
 
 
-def _panel_block(s: np.ndarray, tau, h: np.ndarray, f: Callable, work=None,
+def _panel_block(a: np.ndarray, b: np.ndarray, n: np.ndarray, f: Callable, work=None,
                  shared: Optional[tuple] = None) -> np.ndarray:
-    """Values of the panels of a layout (s, tau, h), the nodes kept in
-    `work` when given.  A tau of one row, the whole periods' template shared
-    by all, comes with `shared`, its weights (summing to 1), phi and phase
-    factors: one call f(nodes, (s, tau, phi, waves)) on the grid, each row's
-    weighted sum times its length h.  A list tau holds the nodes of panels of
-    any lengths at s = 0, each a composite Simpson rule of step h: one call
-    f(nodes, None) on them all.  The rows are summed without BLAS, whose
-    threads gain no wall time."""
-    if isinstance(tau, list):
-        ends = np.cumsum([len(t) for t in tau])
-        values = f(np.concatenate(tau, out=_buffer(work, "nodes", (ends[-1],), float)), None)
-        return np.concatenate([np.einsum("ij,j->i", v[None, :], _simpson_weights(len(v) - 1))
-                               for v in np.split(values, ends[:-1])]) * h / 3.0
-    nodes = np.add(s[:, None], tau, out=_buffer(work, "nodes", (len(s), tau.shape[1]), float))
-    weights, *offsets = shared
-    return np.einsum("ij,j->i", f(nodes, (s, tau, *offsets)), weights) * h
+    """Values of the panels [a_i, b_i] of a block, the nodes kept in `work`.
+    Whole periods (n = 0) take `shared`, the weights W and each segment's
+    phase factor on _PERIOD_ROW: one call f(nodes, (a, _PERIOD_ROW, waves)),
+    each row's weighted sum times its length.  Panels of n_i Simpson
+    subintervals take their nodes end to end, as np.linspace places them:
+    one call f(nodes, None).  The sums avoid BLAS, whose threads gain no
+    wall time."""
+    if n[0] == 0:
+        nodes = np.add(a[:, None], _PERIOD_ROW,
+                       out=_buffer(work, "nodes", (len(a), _PERIOD_ROW.shape[1]), float))
+        weights, waves = shared
+        return np.einsum("ij,j->i", f(nodes, (a, _PERIOD_ROW, waves)), weights) * (b - a)
+    step, ends = (b - a) / n, np.cumsum(n + 1)
+    starts = ends - (n + 1)
+    j = np.arange(ends[-1]) - np.repeat(starts, n + 1)
+    nodes = np.multiply(j, np.repeat(step, n + 1), out=_buffer(work, "nodes", j.shape, float))
+    nodes += np.repeat(a, n + 1)
+    nodes[ends - 1] = b
+    values = f(nodes, None)
+    # one einsum per run of equal counts, each row summed as a panel alone
+    runs = np.flatnonzero(np.diff(n, prepend=-1, append=-1))
+    return np.concatenate([
+        np.einsum("ij,j->i", values[starts[p]:ends[q - 1]].reshape(q - p, -1),
+                  _simpson_weights(int(n[p]))) for p, q in zip(runs[:-1], runs[1:])]) * step / 3.0
 
 
 def _integrate_panels(lower: float, upper: float, d: DerivedSpan, head: float = 0.0,
@@ -322,45 +341,41 @@ def _integrate_panels(lower: float, upper: float, d: DerivedSpan, head: float = 
     """Sum of ln(zeta_max/z) xi(z) over the pi-aligned panels of [lower,
     upper], bounded and evaluated one block of :func:`_pi_panels` at a time.
 
-    The offsets of the whole periods' template, _PERIOD_U on each of
-    ceil(n_spans/8) sub-panels, their weights, phi and each segment's phase
-    factor on them are built once per integral; the blocks share this
-    thread's node grid and kernel arrays, grown for a larger block and kept
-    for the thread's next integral.  With a `target`, the sum
+    Whole periods carry phi in their weights and take eta alone, each
+    segment's phase factor on their offsets built once per integral.  The
+    blocks share this thread's node grid and kernel arrays, grown for a larger
+    block and kept for the thread's next integral.  With a `target`, the sum
     stops at the first panel closing a period k, a power of two, whose
     :func:`tail_mean` remainder (m = k - 1) is <= target * (head + panels so
     far).  Returns (sum of the panels, panels evaluated, m or None, and
     tail_mean's three values at the stop, or zeros).
     """
     work: dict = vars(_BLOCK_ARRAYS)  # this thread's own dict
-    parts = -(-d.n_spans // 8)
-    row = (math.pi / parts) * (np.arange(parts)[:, None] + _PERIOD_U).reshape(1, -1)
-    shared = (np.tile(_PERIOD_W / parts, parts), phased_array(row, d.n_spans),
-              [_wave(lam, row) for lam in d.lam])
+    shared = (_period_weights(d.n_spans), [_wave(lam, _PERIOD_ROW) for lam in d.lam])
 
     def f(z, layout):
         weight = _buffer(work, "weight", z.shape, float)
         np.log(np.divide(d.zeta_max, z, out=weight), out=weight)
-        return np.multiply(weight, xi(z, d, layout, work), out=weight)
+        kernel = xi(z, d, None, work) if layout is None else fwm_efficiency(z, d, layout, work)
+        return np.multiply(weight, kernel, out=weight)
 
     law = None if target is None else _tail_law(d)
     values: List[float] = []
-    for s, tau, h, k in _pi_panels(lower, upper, d.n_spans, row):
+    for a, b, n, k in _pi_panels(lower, upper, d.n_spans):
         tested = (k > 0) & (k & (k - 1) == 0)  # k = m + 1 a power of two
         if law is None or not tested.any():  # no stop in this block
-            values.extend(_panel_block(s, tau, h, f, work, shared).tolist())
+            values.extend(_panel_block(a, b, n, f, work, shared).tolist())
             continue
         # NaN where no stop is allowed: it compares false against any estimate
-        bound, mean, swing = np.full(len(s), np.nan), np.zeros(len(s)), np.zeros(len(s))
+        bound, mean, swing = np.full(len(a), np.nan), np.zeros(len(a)), np.zeros(len(a))
         mean[tested], swing[tested], bound[tested] = law(k[tested] - 1)
         done = head + math.fsum(values)
         # the estimate never falls, so the body stops here at the latest (a 0
-        # bound stops a 0 estimate); a shared row of offsets (tau of one row)
-        # stays whole
+        # bound stops a 0 estimate)
         admissible = np.flatnonzero(bound <= target * done)
         if admissible.size:
-            s, tau, h, k, bound = (x[:admissible[0] + 1] for x in (s, tau, h, k, bound))
-        block = _panel_block(s, tau, h, f, work, shared)
+            a, b, n, k, bound = (x[:admissible[0] + 1] for x in (a, b, n, k, bound))
+        block = _panel_block(a, b, n, f, work, shared)
         estimates = done + np.cumsum(block)
         stops = np.flatnonzero(bound <= target * estimates)
         if stops.size:

@@ -3,7 +3,7 @@
 `reference_integral` keeps that driver as an oracle: one kernel call per
 panel, a per-panel exact sum, and the stop test re-summing every panel so far
 after each full period.  Each panel takes its rule from `reference_rules`:
-the Gauss template on a whole period, composite Simpson on the others.  The
+the product rule on a whole period, composite Simpson on the others.  The
 block driver must reach the same truncation decisions on the same panels and
 agree on the value to rounding.
 """
@@ -24,9 +24,11 @@ from hybridgn import (
     SpanPlan,
     delta_rule,
     derive_span,
+    fwm_efficiency,
     integrate_body,
     log_weighted_integral,
     nl_coefficient,
+    phased_array,
     refined_singular_head,
     xi,
 )
@@ -38,8 +40,9 @@ from conftest import ATLANTIC, LOSSLESS, QSMF, SMF, THREE_FIBER
 #: Simpson subintervals per oscillation of phi in the driver's rule of the
 #: panels that are not whole periods.
 PER_OSCILLATION = 16
-#: Gauss-Legendre nodes per sub-panel of a whole period, and oscillations of
-#: phi per sub-panel at most.
+#: Gauss-Legendre nodes of a whole period's product rule, and of each
+#: sub-panel of the template that integrates phi into its weights; and
+#: oscillations of phi per sub-panel at most.
 TEMPLATE_NODES, OSCILLATIONS_PER_SUBPANEL = 24, 8
 
 
@@ -63,13 +66,27 @@ def reference_layout(lower, upper):
 
 
 def template_offsets(n_spans):
-    """The offsets in [0, pi] and the weights (summing to pi) of a whole
-    period's rule: TEMPLATE_NODES Gauss-Legendre nodes on each of
+    """The offsets in [0, pi] and the weights (summing to pi) of the
+    template: TEMPLATE_NODES Gauss-Legendre nodes on each of
     ceil(n_spans / OSCILLATIONS_PER_SUBPANEL) equal sub-panels."""
     parts = -(-n_spans // OSCILLATIONS_PER_SUBPANEL)
     x, w = np.polynomial.legendre.leggauss(TEMPLATE_NODES)
     tau = math.pi * ((np.arange(parts)[:, None] + (x + 1.0) / 2.0) / parts).ravel()
     return tau, np.tile(w, parts) * math.pi / (2.0 * parts)
+
+
+def product_rule(n_spans):
+    """The offsets in [0, pi] and the weights of a whole period's product
+    rule int_0^pi phi g = sum_i w_i g(tau_i): TEMPLATE_NODES Gauss-Legendre
+    nodes tau_i, and w_i the template's integral of phi times the Lagrange
+    basis polynomial of tau_i, taken as a plain product of factors."""
+    nodes = template_offsets(1)[0]
+    tau, weights = template_offsets(n_spans)
+    basis = np.ones((len(tau), len(nodes)))
+    for i, node in enumerate(nodes):
+        for other in np.delete(nodes, i):
+            basis[:, i] *= (tau - other) / (node - other)
+    return nodes, (weights * phased_array(tau, n_spans)) @ basis
 
 
 def _whole(a, b):
@@ -79,32 +96,34 @@ def _whole(a, b):
 
 
 def reference_rules(lower, upper, n_spans, per_osc=PER_OSCILLATION):
-    """Yield (k, nodes, weights) per panel of reference_layout: the template
-    on a whole period, wherever it lies, else composite Simpson with per_osc
-    subintervals per oscillation of the panel's length, at least 2 per_osc."""
+    """Yield (k, nodes, weights, product) per panel of reference_layout: the
+    product rule on a whole period, wherever it lies, its weights carrying
+    phi, else composite Simpson with per_osc subintervals per oscillation of
+    the panel's length, at least 2 per_osc."""
     for a, b, k_end in zip(*reference_layout(lower, upper)):
         if _whole(a, b):
-            tau, weights = template_offsets(n_spans)
-            yield int(k_end), a + tau, weights
+            tau, weights = product_rule(n_spans)
+            yield int(k_end), a + tau, weights, True
             continue
         n_sub = max(2 * per_osc, 2 * int(math.ceil((b - a) / math.pi * n_spans * per_osc
                                                    / 2.0)))
         w = np.ones(n_sub + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        yield int(k_end), np.linspace(a, b, n_sub + 1), w * ((b - a) / n_sub) / 3.0
+        yield int(k_end), np.linspace(a, b, n_sub + 1), w * ((b - a) / n_sub) / 3.0, False
 
 
 def reference_sizes(lower, upper, n_spans):
     """Kernel nodes per panel of reference_layout."""
-    return np.array([len(nodes) for _, nodes, _ in reference_rules(lower, upper, n_spans)])
+    return np.array([len(nodes) for _, nodes, _, _ in reference_rules(lower, upper, n_spans)])
 
 
 def reference_panels(lower, upper, d, per_osc=PER_OSCILLATION):
     """Yield (k, value) per panel: one kernel call and an fsum of its
-    reference_rules each."""
-    for k_end, nodes, weights in reference_rules(lower, upper, d.n_spans, per_osc):
-        f = np.log(d.zeta_max / nodes) * xi(nodes, d)
+    reference_rules each, eta alone where the weights carry phi."""
+    for k_end, nodes, weights, product in reference_rules(lower, upper, d.n_spans, per_osc):
+        kernel = fwm_efficiency if product else xi
+        f = np.log(d.zeta_max / nodes) * kernel(nodes, d)
         yield k_end, math.fsum((weights * f).tolist())
 
 
@@ -200,18 +219,21 @@ def _first_admissible_m(d, settings, running):
 
 def _body_calls(monkeypatch):
     """Record (start, node count, layout) of every kernel call of the body,
-    the start being the first row's s on a layout, else the first node; the
-    head's calls, whose nodes start at 0, are left out."""
+    xi on the panels that are not whole periods and eta on a layout of whole
+    periods, the start being the first row's s on a layout, else the first
+    node; the head's calls, whose nodes start at 0, are left out."""
     calls = []
-    real_xi = quadrature.xi
 
-    def recording_xi(zeta, d, layout=None, work=None):
-        if np.min(zeta) > 0.0:
-            start = np.min(zeta) if layout is None else layout[0][0]
-            calls.append((float(start), np.size(zeta), layout))
-        return real_xi(zeta, d, layout, work)
+    def recording(kernel):
+        def call(zeta, d, layout=None, work=None):
+            if np.min(zeta) > 0.0:
+                start = np.min(zeta) if layout is None else layout[0][0]
+                calls.append((float(start), np.size(zeta), layout))
+            return kernel(zeta, d, layout, work)
+        return call
 
-    monkeypatch.setattr(quadrature, "xi", recording_xi)
+    for name in ("xi", "fwm_efficiency"):
+        monkeypatch.setattr(quadrature, name, recording(getattr(quadrature, name)))
     return calls
 
 
@@ -265,10 +287,9 @@ def test_body_nodes_stay_below_the_stop_cap(case, monkeypatch):
 def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
     """Kernel calls are blocks of up to BLOCK_NODES nodes, not single panels;
     blocks of periods are one panels x nodes grid, every whole period with
-    the template's offsets, 24 * 8 at N = 60, and all of them share the one
-    row of offsets, phi and phase factors built for the integral; the graded
-    panels below pi are one call.  The body runs to zeta_max, through all
-    its periods."""
+    the product rule's 24 offsets, and all of them share the one row of
+    offsets and phase factors built for the integral; the graded panels below
+    pi are one call.  The body runs to zeta_max, through all its periods."""
     d = _coherent(SpanPlan((QSMF, SMF)), 60)
     calls = _body_calls(monkeypatch)
     rep = log_weighted_integral(d, QuadratureSettings(truncation_enabled=False))
@@ -276,15 +297,15 @@ def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
     assert len(calls) < rep.panels_evaluated / 10
     grids = [(size, layout) for _, size, layout in calls if layout is not None]
     periods = 0
-    for size, (s, tau, phi, waves) in grids:
+    for size, (s, tau, waves) in grids:
         assert size == len(s) * tau.shape[1]  # one panels x nodes grid
         k = np.rint(s / math.pi)
-        # rows k pi + tau with one shared row of the template's offsets
+        # rows k pi + tau with one shared row of the product rule's offsets
         assert np.all((k >= 1) & (s == k * math.pi))
-        assert tau.shape == (1, 24 * 8)
-        assert np.allclose(tau[0], template_offsets(60)[0], rtol=1e-15, atol=0.0)
+        assert tau.shape == (1, TEMPLATE_NODES)
+        assert np.allclose(tau[0], product_rule(60)[0], rtol=1e-15, atol=0.0)
         periods += len(s)
-    for part in range(1, 4):
+    for part in range(1, 3):
         assert len({id(layout[part]) for _, layout in grids}) == 1
     # the graded panels below pi, one call
     lowers = reference_layout(rep.delta, d.zeta_max)[0]
@@ -293,6 +314,21 @@ def test_blocks_hold_many_panels_within_the_node_budget(monkeypatch):
     assert calls[0][2] is None and last > first and lowers[last + 1] == math.pi
     # the periods [pi, 2 pi] .. [(K-1) pi, K pi], K pi the last multiple below zeta_max
     assert periods == math.ceil(d.zeta_max / math.pi) - 2
+
+
+@pytest.mark.parametrize("n_spans", [1, 9, 60, 200, MAX_SPAN_COUNT])
+def test_every_whole_period_costs_24_kernel_nodes(n_spans, monkeypatch):
+    """Whatever the span count, each whole period of the body is one row of
+    TEMPLATE_NODES kernel nodes, and the rows are the periods [pi, 2 pi] ..
+    [(K-1) pi, K pi] below zeta_max, each once; phi lives in the weights."""
+    d = _coherent(SpanPlan((QSMF, SMF)), n_spans)
+    calls = _body_calls(monkeypatch)
+    log_weighted_integral(d, QuadratureSettings(truncation_enabled=False))
+    starts = []
+    for size, (s, tau, _) in ((size, layout) for _, size, layout in calls if layout):
+        assert tau.shape == (1, TEMPLATE_NODES) and size == TEMPLATE_NODES * len(s)
+        starts.extend(s)
+    assert starts == [k * math.pi for k in range(1, math.ceil(d.zeta_max / math.pi) - 1)]
 
 
 def test_a_repeated_integral_keeps_its_pages():
@@ -343,9 +379,10 @@ def test_block_arrays_outlive_the_integral():
 
 
 def test_a_period_at_the_span_limit_fits_one_block(monkeypatch):
-    """At MAX_SPAN_COUNT spans a whole period, 3,000 nodes, is one grid row
-    within a block, every kernel call holds at most BLOCK_NODES nodes, and the
-    thread keeps no array larger than a block after the integral."""
+    """At MAX_SPAN_COUNT spans a whole period, 24 nodes as at any span
+    count, is one grid row within a block, every kernel call holds at most
+    BLOCK_NODES nodes, and the thread keeps no array larger than a block
+    after the integral."""
     d = _coherent(SpanPlan((QSMF, SMF)), MAX_SPAN_COUNT)
     calls = _body_calls(monkeypatch)
     kept = {}
@@ -360,8 +397,8 @@ def test_a_period_at_the_span_limit_fits_one_block(monkeypatch):
     assert kept["rep"].truncation_m is not None
     grids = [(size, layout) for _, size, layout in calls if layout is not None]
     assert grids
-    for size, (s, tau, _, _) in grids:
-        assert tau.shape == (1, TEMPLATE_NODES * MAX_SPAN_COUNT // OSCILLATIONS_PER_SUBPANEL)
+    for size, (s, tau, _) in grids:
+        assert tau.shape == (1, TEMPLATE_NODES)
         assert size == len(s) * tau.shape[1] <= quadrature.BLOCK_NODES
     assert max(size for _, size, _ in calls) <= quadrature.BLOCK_NODES
     assert kept["sizes"] and max(kept["sizes"]) <= quadrature.BLOCK_NODES
@@ -458,21 +495,20 @@ def test_integrate_body_matches_panel_by_panel_simpson(d_atlantic):
 def test_block_nodes_follow_linspace():
     """A block lays out each panel's nodes as the reference does: exactly
     np.linspace for the panels with nodes of their own, which one call takes
-    end to end, and to the rounding of s + tau for whole periods, which share
+    end to end, and to the rounding of a + tau for whole periods, which share
     one row of offsets."""
     lower, upper, n_spans = 0.3, 3.0 * math.pi + 0.5, 200
-    tau_row, weights = template_offsets(n_spans)
-    row = tau_row[None, :]
-    expected = [nodes for _, nodes, _ in reference_rules(lower, upper, n_spans)]
+    weights = product_rule(n_spans)[1] / math.pi
+    expected = [nodes for _, nodes, _, _ in reference_rules(lower, upper, n_spans)]
     panels = 0
-    for s, tau, h, _ in quadrature._pi_panels(lower, upper, n_spans, row):
+    for a, b, n, _ in quadrature._pi_panels(lower, upper, n_spans):
         seen = []
-        quadrature._panel_block(s, tau, h,
+        quadrature._panel_block(a, b, n,
                                 lambda z, layout: seen.append(z.copy()) or np.ones_like(z),
-                                shared=(weights,))
-        rows = expected[panels:panels + len(s)]
-        panels += len(s)
-        if tau is row:
+                                shared=(weights, None))
+        rows = expected[panels:panels + len(a)]
+        panels += len(a)
+        if n[0] == 0:  # whole periods
             assert np.allclose(seen[0], rows, rtol=0.0, atol=np.spacing(upper))
         else:
             assert np.array_equal(seen[0], np.concatenate(rows))

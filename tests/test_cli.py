@@ -165,8 +165,9 @@ def test_a_segment_whose_dispersion_times_length_underflows_is_a_config_error(
     """A 1e-302 km segment has beta2 * length = 0 in floats, so lam_k = 0,
     which the span's decay rates and tail law divide by: a config error
     naming the segment, in one line.  At 1e-301 km the product is a
-    subnormal, and gamma_nl comes out finite without a floating-point
-    warning."""
+    subnormal, but lam_k^2, which the tail law divides by, is 0: a config
+    error too.  At 1e-150 km gamma_nl comes out finite, the body truncated,
+    without a floating-point warning."""
     raw = json.loads(Path(ATLANTIC_CFG).read_text())
     raw["span"][position]["length_km"] = 1e-302
     p = tmp_path / "underflow.json"
@@ -181,13 +182,40 @@ def test_a_segment_whose_dispersion_times_length_underflows_is_a_config_error(
 
     raw["span"][position]["length_km"] = 1e-301
     p.write_text(json.dumps(raw))
+    res = run_cli("gamma", "--config", str(p))
+    assert res.returncode == 2, res.stderr
+    lines = res.stderr.decode().splitlines()
+    assert len(lines) == 1 and "config error" in lines[0], lines
+    assert repr(raw["span"][position]["name"]) in lines[0]
+
+    raw["span"][position]["length_km"] = 1e-150
+    p.write_text(json.dumps(raw))
     res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hybridgn",
                           "gamma", "--config", str(p), "--format", "json"],
                          capture_output=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stderr == b""
-    gamma = json.loads(res.stdout)["gamma_nl_per_w2"]
-    assert math.isfinite(gamma) and gamma > 0.0
+    out = json.loads(res.stdout)
+    assert math.isfinite(out["gamma_nl_per_w2"]) and out["gamma_nl_per_w2"] > 0.0
+    assert out["truncation_m"] is not None
+
+
+def test_a_segment_of_almost_no_dispersion_is_a_config_error(tmp_path):
+    """A first segment of 1e-23 km and -1e-275 ps^2/km has a share lam_1 of
+    the span's dispersion x length of 7e-302, whose square, which the tail
+    law divides by, is 0 in floats: a config error naming the segment, in
+    one line, where a divide-by-zero warning and an untruncated body were."""
+    raw = json.loads(Path(ATLANTIC_CFG).read_text())
+    raw["span"][0].update(length_km=1e-23, beta2_ps2_per_km=-1e-275)
+    p = tmp_path / "no_dispersion.json"
+    p.write_text(json.dumps(raw))
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hybridgn",
+                          "gamma", "--config", str(p)], capture_output=True, timeout=300)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == b""
+    lines = res.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error"), lines
+    assert repr(raw["span"][0]["name"]) in lines[0]
 
 
 def test_gamma_below_the_float_range_is_a_numerical_error(tmp_path):

@@ -285,9 +285,9 @@ LOSSLESS = replace(SMF, name="lossless", attenuation=0.0)
 
 
 def _layout(s, tau, d):
-    """The layout (s, tau, phi, waves) of the nodes s[:, None] + tau: phi on
-    tau, and each segment's phase factor e^{-2i lam tau}."""
-    return s, tau, phased_array(tau, d.n_spans), [np.exp(-2j * lam * tau) for lam in d.lam]
+    """The layout (s, tau, waves) of the nodes s[:, None] + tau: each
+    segment's phase factor e^{-2i lam tau}."""
+    return s, tau, [np.exp(-2j * lam * tau) for lam in d.lam]
 
 
 def _simpson_rows(values):
@@ -301,9 +301,9 @@ def _simpson_rows(values):
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
 @pytest.mark.parametrize("second", [SMF, LOSSLESS], ids=["smf", "lossless"])
 def test_xi_on_a_layout_matches_the_explicit_grid(n_spans, shared, second):
-    """xi on the layout (s, tau, phi, waves) equals xi on the grid s_i +
-    tau_j panel by panel: phi is taken on tau and each phase is a row times
-    an offset factor, which moves only the rounding."""
+    """xi on the layout (s, tau, waves) equals xi on the grid s_i + tau_j
+    panel by panel: phi is taken on tau and each phase is a row times an
+    offset factor, which moves only the rounding."""
     d = derive_span(SpanPlan((QSMF, second)), replace(ATLANTIC, span_count=n_spans))
     n_sub = max(32, 16 * n_spans)
     s = np.array([0, 1, 2, 7, 30, 49, 50]) * math.pi

@@ -46,6 +46,19 @@ def test_span_rejects_mixed_dispersion_signs():
         SpanPlan((_ok_segment(), _ok_segment(beta2=2.66e-26)))
 
 
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+def test_span_rejects_a_dispersion_share_that_underflows(position):
+    """A segment of beta2 -1e-302 s^2/m and 1e-20 m next to one of -1e-3
+    s^2/m and 100 km has a share lam_k of the span's dispersion x length of
+    1e-324, which is 0 in floats; derive_span and the tail law divide by it.
+    The span refuses it, naming the segment."""
+    tiny = _ok_segment(name="tiny", length=1e-20, beta2=-1e-302)
+    segments = [_ok_segment(name="long", length=100e3, beta2=-1e-3)]
+    segments.insert(len(segments) if position == -1 else 0, tiny)
+    with pytest.raises(ValueError, match="segment 'tiny'.*underflows"):
+        SpanPlan(tuple(segments))
+
+
 def test_span_length_sums_segments(hybrid_span):
     assert hybrid_span.length == pytest.approx(100e3, rel=1e-15)
 

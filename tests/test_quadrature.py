@@ -22,7 +22,8 @@ from hybridgn import (
     xi,
 )
 from hybridgn import quadrature
-from hybridgn.quadrature import _HEAD_U, _HEAD_W, _gauss_legendre, _panel_block, tail_mean
+from hybridgn.quadrature import (_HEAD_U, _HEAD_W, _PERIOD_U, _PERIOD_W, _gauss_legendre,
+                                 _panel_block, _period_weights, tail_mean)
 from conftest import (ATLANTIC, QSMF, SMF, TOY, fejer_log_moment, fejer_running_integral,
                       singular_head)
 from test_block_driver import reference_panels
@@ -225,8 +226,8 @@ def test_fejer_antiderivatives_match_quadrature():
 
 def _simpson(f, a, b, n_sub):
     """The body's block Simpson rule on the one panel [a, b]."""
-    return float(_panel_block(np.zeros(1), [np.linspace(a, b, n_sub + 1)],
-                              np.array([(b - a) / n_sub]), lambda z, layout: f(z))[0])
+    return float(_panel_block(np.array([a]), np.array([b]), np.array([n_sub]),
+                              lambda z, layout: f(z))[0])
 
 
 def test_body_exact_for_cubics():
@@ -299,6 +300,18 @@ def test_whole_periods_match_a_gauss_oracle(shape, n_spans):
     total = log_weighted_integral(d, QuadratureSettings()).value
     assert len(ks) >= 18
     assert np.sum(np.abs(ours - oracle)) <= 1e-12 * total
+
+
+@pytest.mark.parametrize("n_spans", [1, 2, 7, 8, 9, 60, 200, 1000])
+def test_period_weights_integrate_phi(n_spans):
+    """The product rule's weights W, read-only, integrate phi over a period:
+    pi sum W = int_0^pi phi = pi/N.  Up to 8 spans the template is the 24
+    nodes themselves, so W is the Gauss weights times phi there."""
+    weights = _period_weights(n_spans)
+    assert not weights.flags.writeable and weights.shape == (24,)
+    assert math.fsum(weights) == pytest.approx(1.0 / n_spans, rel=1e-12, abs=0.0)
+    if n_spans <= 8:
+        assert np.array_equal(weights, _PERIOD_W * phased_array(math.pi * _PERIOD_U, n_spans))
 
 
 def test_body_node_count_convergence(d_atlantic, settings):
